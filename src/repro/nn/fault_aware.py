@@ -20,9 +20,12 @@ or weights remapped to spare fault-free crossbars by Remap-WS/Remap-T.
 
 Effective-weight cache
 ----------------------
-The clamped forward/backward weight of a layer is a pure function of
-(weight data, fault state, overrides).  The engine therefore caches each
-layer's effective matrices keyed on the triple of monotonic versions
+Layers read their weights through one call,
+:meth:`CrossbarEngine.step_weights`, once per forward.  The clamped
+forward/backward weight of a layer is a pure function of (weight data,
+fault state, overrides), so the engine keeps one cache entry per layer,
+holding both copies' effective matrices, keyed on the triple of
+monotonic versions
 
 * ``Parameter.version`` — bumped by every in-place weight write
   (``SGD.step``, the engine's in-situ range clip);
@@ -38,15 +41,16 @@ plus two *state* parts that version the deterministic analog layers:
 * the :class:`~repro.analog.AnalogStack` version key (layer-config hash +
   soft-error epoch version) when an analog stack is attached.
 
-During training every step changes the weights, so the cache simply
-avoids re-clamping within a batch; during evaluation and BIST/remap
-passes nothing changes between batches, so the clamp runs **once per
-fault state** instead of once per batch.  Only the *stochastic*
-variation mode (programming error / read noise, redrawn per read)
-bypasses the cache; drift and the analog stack are deterministic per
-key, so they stay cached.  Returned arrays are owned by the engine:
-valid until the layer's next recompute, and must not be mutated by
-callers.
+During training every step changes the weights, so each step clamps
+both copies once; during evaluation and BIST/remap passes nothing
+changes between batches, so the clamp runs **once per fault state**
+instead of once per batch.  Inference reads only the forward copy, and
+a training step that follows at the same key computes just the missing
+backward copy.  Only the *stochastic* variation mode (programming error
+/ read noise, redrawn per read) bypasses the cache; drift and the analog
+stack are deterministic per key, so they stay cached.  Returned arrays
+are owned by the engine: valid until the layer's next recompute, and
+must not be mutated by callers.
 """
 
 from __future__ import annotations
@@ -87,10 +91,6 @@ class CrossbarEngine:
         #: retention-drift term of :attr:`variation` and is part of every
         #: cache key (so drifted weights never alias fresh ones).
         self.drift_epochs = 0
-        #: master switch for the version-keyed effective-weight cache
-        #: (disable to force a fresh clamp on every read — the pre-cache
-        #: behaviour the equivalence tests compare against).
-        self.cache_enabled = True
         #: bumped by set_override / clear_overrides; part of the cache key.
         self.override_version = 0
         #: layer key -> weight Parameter (for the params_version key part).
@@ -99,11 +99,9 @@ class CrossbarEngine:
         #: Part of the cache key so fleet replicas that rebind a layer to
         #: a different chip never share stale effective weights.
         self._home_chip: dict[str, int] = {}
-        #: (key, path) -> (version tuple, effective matrix).
-        self._eff_cache: dict[tuple[str, str], tuple[tuple, np.ndarray]] = {}
-        #: key -> (version tuple, fwd, bwd) — the fused layers' single
-        #: probe for both phase copies (see :meth:`step_weights`).
-        self._step_cache: dict[str, tuple[tuple, np.ndarray, np.ndarray | None]] = {}
+        #: key -> (version tuple, fwd, bwd): both copies' effective
+        #: weights; bwd stays None until a read needs it.
+        self._eff_cache: dict[str, tuple[tuple, np.ndarray, np.ndarray | None]] = {}
         #: engine-owned result buffers, (key, path, dtype) -> array.
         self._eff_buffers: dict[tuple[str, str, str], np.ndarray] = {}
         #: cache statistics (tests and the hotpath bench read these).
@@ -153,51 +151,44 @@ class CrossbarEngine:
     # ------------------------------------------------------------------ #
     # weight paths (called from the layers on every batch)
     # ------------------------------------------------------------------ #
-    def forward_weight(self, key: str, w2d: np.ndarray) -> np.ndarray:
-        """Effective ``(out, in)`` weight as read by the forward MVM.
-
-        Cached: see the module docstring.  The returned array is owned by
-        the engine and must not be mutated.
-        """
-        return self._effective_weight(key, w2d, "fwd")
-
-    def backward_weight(self, key: str, w2d: np.ndarray) -> np.ndarray:
-        """Effective ``(out, in)`` weight as read by the backward MVM.
-
-        Cached: see the module docstring.  The returned array is owned by
-        the engine and must not be mutated.
-        """
-        return self._effective_weight(key, w2d, "bwd")
-
     def step_weights(
         self, key: str, w2d: np.ndarray, need_backward: bool = True
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Both phase copies' effective weights under one cache lookup.
+        """Effective ``(out, in)`` weights as read by the forward and the
+        backward MVM.
 
-        The fused hot loop calls this once per (step, layer): a single
-        version probe replaces the two per-path probes of
-        :meth:`forward_weight` + :meth:`backward_weight`.  Counter
-        bookkeeping matches the per-path calls it replaces (a step-cache
-        hit counts as two hits — or one when only the forward weight is
-        requested); misses delegate to the per-path cache, which counts
-        normally.  Returned arrays are engine-owned: do not mutate.
+        The layers call this once per forward.  ``need_backward=False``
+        (inference) reads only the forward copy and may return ``None``
+        for the backward one.  Cached: see the module docstring.  The
+        counters count per copy: one hit for each copy served from the
+        cache, one miss for each copy computed.  Returned arrays are
+        engine-owned: do not mutate.
         """
         if not self.faults_enabled:
             return w2d, (w2d if need_backward else None)
-        if not self.cache_enabled or self._stochastic:
-            w_fwd = self._effective_weight(key, w2d, "fwd")
-            w_bwd = self._effective_weight(key, w2d, "bwd") if need_backward else None
+        if self._stochastic:
+            # Programming error / read noise is redrawn per read — the
+            # effective weight is not a pure function of the versions,
+            # so the cache is bypassed entirely.
+            w_fwd = self._noisy_weight(key, w2d, "fwd")
+            w_bwd = self._noisy_weight(key, w2d, "bwd") if need_backward else None
             return w_fwd, w_bwd
         ck = self._version_key(key, w2d)
-        cached = self._step_cache.get(key)
-        if cached is not None and cached[0] == ck and (
-            cached[2] is not None or not need_backward
-        ):
-            self.cache_hits += 2 if need_backward else 1
-            return cached[1], cached[2]
-        w_fwd = self._effective_weight(key, w2d, "fwd")
-        w_bwd = self._effective_weight(key, w2d, "bwd") if need_backward else None
-        self._step_cache[key] = (ck, w_fwd, w_bwd)
+        cached = self._eff_cache.get(key)
+        if cached is None or cached[0] != ck:
+            w_fwd = self._recompute(key, w2d, "fwd")
+            w_bwd = self._recompute(key, w2d, "bwd") if need_backward else None
+            self._eff_cache[key] = (ck, w_fwd, w_bwd)
+            return w_fwd, w_bwd
+        _, w_fwd, w_bwd = cached
+        self.cache_hits += 1
+        if need_backward:
+            if w_bwd is None:
+                # An inference read filled only the forward copy.
+                w_bwd = self._recompute(key, w2d, "bwd")
+                self._eff_cache[key] = (ck, w_fwd, w_bwd)
+            else:
+                self.cache_hits += 1
         return w_fwd, w_bwd
 
     @property
@@ -227,24 +218,14 @@ class CrossbarEngine:
             analog.version_key() if analog is not None else None,
         )
 
-    def _effective_weight(self, key: str, w2d: np.ndarray, path: str) -> np.ndarray:
-        if not self.faults_enabled:
-            return w2d
-        if self._stochastic:
-            # Programming error / read noise is redrawn per read — the
-            # effective weight is not a pure function of the versions,
-            # so the cache is bypassed entirely.
-            eff, _ = self._compute_weight(key, w2d, path)
-            eff = self._apply_deterministic(key, eff, path)
-            return self._apply_variation(eff)
-        if not self.cache_enabled:
-            eff, _ = self._compute_weight(key, w2d, path)
-            return self._apply_deterministic(key, eff, path)
-        ck = self._version_key(key, w2d)
-        cached = self._eff_cache.get((key, path))
-        if cached is not None and cached[0] == ck:
-            self.cache_hits += 1
-            return cached[1]
+    def _noisy_weight(self, key: str, w2d: np.ndarray, path: str) -> np.ndarray:
+        """One copy's effective weight with fresh per-read noise (uncached)."""
+        eff, _ = self._compute_weight(key, w2d, path)
+        eff = self._apply_deterministic(key, eff, path)
+        return self._apply_variation(eff)
+
+    def _recompute(self, key: str, w2d: np.ndarray, path: str) -> np.ndarray:
+        """A cache miss: one copy's effective weight, engine-owned."""
         self.cache_misses += 1
         eff, shared = self._compute_weight(key, w2d, path)
         det = self._apply_deterministic(key, eff, path)
@@ -262,7 +243,6 @@ class CrossbarEngine:
                 self._eff_buffers[buf_key] = buf
             np.copyto(buf, eff)
             eff = buf
-        self._eff_cache[(key, path)] = (ck, eff)
         return eff
 
     def _compute_weight(
@@ -477,7 +457,6 @@ class CrossbarEngine:
         the silently-mutated state can be served through them.
         """
         self._eff_cache.clear()
-        self._step_cache.clear()
         self._eff_buffers.clear()
 
     def cache_stats(self) -> dict[str, int]:

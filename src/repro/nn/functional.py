@@ -12,12 +12,11 @@ import threading
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, is_fused, is_grad_enabled, step_arena
+from repro.nn.tensor import Tensor, is_grad_enabled, step_arena
 
 __all__ = [
     "im2col",
     "col2im",
-    "clear_scratch",
     "conv_output_size",
     "relu",
     "maxpool2d",
@@ -33,13 +32,15 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # im2col / col2im
 # --------------------------------------------------------------------- #
-#: reusable scratch arrays for the unfold/fold temporaries, keyed by
-#: (tag, shape, dtype).  Conv layers hit the same handful of shapes every
-#: batch, so the pool stays small while eliminating the largest per-batch
-#: allocations.  The pool is *per thread*: the serving plane runs one
-#: forward per replica thread concurrently, and identical shapes on two
-#: threads must never share a buffer (the parallel benchmark runner forks
-#: whole processes, each with its own pools).
+#: reusable scratch arrays for temporaries that die inside one op (the
+#: im2col gather, inference-mode patch matrices, the max-pool backward
+#: window), keyed by (tag, shape, dtype).  Conv layers hit the same
+#: handful of shapes every batch, so the pool stays small while
+#: eliminating the largest per-batch allocations.  The pool is *per
+#: thread*: the serving plane runs one forward per replica thread
+#: concurrently, and identical shapes on two threads must never share a
+#: buffer (the parallel benchmark runner forks whole processes, each
+#: with its own pools).
 _SCRATCH_TLS = threading.local()
 
 
@@ -53,14 +54,6 @@ def _scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         buf = np.empty(shape, dtype=dtype)
         pool[key] = buf
     return buf
-
-
-def clear_scratch() -> None:
-    """Drop this thread's cached scratch buffers (frees memory between
-    experiments; other threads' pools are theirs to clear)."""
-    pool = getattr(_SCRATCH_TLS, "pool", None)
-    if pool is not None:
-        pool.clear()
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -84,29 +77,25 @@ def im2col(
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
-    fused = is_fused()
     if pad > 0:
-        if fused:
-            # Arena-backed padded buffer: edge strips are zero-filled and
-            # the interior overwritten, producing exactly what np.pad
-            # would — without its fresh allocation each call.
-            hp, wp = h + 2 * pad, w + 2 * pad
-            padded = step_arena().take((n, c, hp, wp), x.dtype)
-            padded[:, :, :pad, :].fill(0.0)
-            padded[:, :, hp - pad:, :].fill(0.0)
-            padded[:, :, pad:hp - pad, :pad].fill(0.0)
-            padded[:, :, pad:hp - pad, wp - pad:].fill(0.0)
-            padded[:, :, pad:hp - pad, pad:wp - pad] = x
-            x = padded
-        else:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        # Arena-backed padded buffer: edge strips are zero-filled and the
+        # interior overwritten, producing exactly what np.pad would —
+        # without a fresh allocation per call inside a training step.
+        hp, wp = h + 2 * pad, w + 2 * pad
+        padded = step_arena().take((n, c, hp, wp), x.dtype)
+        padded[:, :, :pad, :].fill(0.0)
+        padded[:, :, hp - pad:, :].fill(0.0)
+        padded[:, :, pad:hp - pad, :pad].fill(0.0)
+        padded[:, :, pad:hp - pad, wp - pad:].fill(0.0)
+        padded[:, :, pad:hp - pad, pad:wp - pad] = x
+        x = padded
     # The 6-D gather buffer never escapes this function, so it comes from
     # the scratch pool.  The returned patch matrix is captured by autograd
-    # closures and must be a fresh allocation while a graph is being
-    # built; in inference mode (no_grad) nothing outlives the layer's
-    # matmul, so it comes from the pool too.  The fused path instead
-    # draws it from the step arena: distinct within a step, recycled
-    # across steps (backward always completes before the next forward).
+    # closures while a graph is being built, so it comes from the step
+    # arena: distinct within a step, recycled across steps (backward
+    # always completes before the next forward).  In inference mode
+    # (no_grad) nothing outlives the layer's matmul, so it comes from the
+    # scratch pool too.
     cols = _scratch("im2col", (n, c, kh, kw, oh, ow), x.dtype)
     for i in range(kh):
         i_end = i + stride * oh
@@ -114,10 +103,8 @@ def im2col(
             j_end = j + stride * ow
             cols[:, :, i, j, :, :] = x[:, :, i:i_end:stride, j:j_end:stride]
     out_shape = (n * oh * ow, c * kh * kw)
-    if fused:
+    if is_grad_enabled():
         out = step_arena().take(out_shape, x.dtype)
-    elif is_grad_enabled():
-        out = np.empty(out_shape, dtype=x.dtype)
     else:
         out = _scratch("im2col_out", out_shape, x.dtype)
     np.copyto(
@@ -136,22 +123,15 @@ def col2im(
 ) -> np.ndarray:
     """Fold patch-row gradients back onto the input (adjoint of im2col).
 
-    The result lives in a reusable scratch buffer: it is valid until the
-    next ``col2im`` call with the same shape, so callers must consume it
+    The result is (a view of) a step-arena buffer: inside a training step
+    it is recycled at the next ``reset()``, so callers consume it
     immediately (``Tensor.accumulate_grad`` copies or adds on the spot).
     """
     n, c, h, w = x_shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    if is_fused():
-        x_padded = step_arena().take(
-            (n, c, h + 2 * pad, w + 2 * pad), cols.dtype
-        )
-    else:
-        x_padded = _scratch(
-            "col2im", (n, c, h + 2 * pad, w + 2 * pad), cols.dtype
-        )
+    x_padded = step_arena().take((n, c, h + 2 * pad, w + 2 * pad), cols.dtype)
     x_padded.fill(0.0)
     for i in range(kh):
         i_end = i + stride * oh
@@ -168,29 +148,21 @@ def col2im(
 # --------------------------------------------------------------------- #
 def relu(x: Tensor) -> Tensor:
     # np.maximum needs no materialised boolean mask; the backward mask is
-    # only built if/when the tape actually runs.
-    if is_fused() and is_grad_enabled():
-        # take_like keeps the input's memory layout (conv activations are
-        # transposed views); downstream reductions must see the same
-        # iteration order as the reference path.
-        arena = step_arena()
-        out_data = arena.take_like(x.data)
-        np.maximum(x.data, 0.0, out=out_data)
-
-        def bwd(grad: np.ndarray) -> None:
-            if x.requires_grad:
-                mask = arena.take(x.data.shape, np.bool_)
-                np.greater(x.data, 0, out=mask)
-                g = arena.take(x.data.shape, x.data.dtype)
-                np.multiply(grad, mask, out=g)
-                x.accumulate_grad(g, donate=True)
-
-        return Tensor(out_data, parents=(x,), backward=bwd)
-    out_data = np.maximum(x.data, 0.0)
+    # only built if/when the tape actually runs.  take_like keeps the
+    # input's memory layout (conv activations are transposed views), as
+    # a plain ufunc would, so downstream reductions see the same
+    # iteration order.
+    arena = step_arena()
+    out_data = arena.take_like(x.data)
+    np.maximum(x.data, 0.0, out=out_data)
 
     def bwd(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate_grad(grad * (x.data > 0))
+            mask = arena.take(x.data.shape, np.bool_)
+            np.greater(x.data, 0, out=mask)
+            g = arena.take(x.data.shape, x.data.dtype)
+            np.multiply(grad, mask, out=g)
+            x.accumulate_grad(g, donate=True)
 
     return Tensor(out_data, parents=(x,), backward=bwd)
 

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor, is_fused, is_grad_enabled, step_arena
+from repro.nn.tensor import Tensor, is_grad_enabled, step_arena
 
 __all__ = [
     "Parameter",
@@ -190,36 +190,26 @@ class Conv2d(Module):
 
     def _forward(self, x: Tensor, tel) -> Tensor:
         grad_on = is_grad_enabled()
-        fused = is_fused()
         cols, oh, ow = F.im2col(
             x.data, self.kernel_size, self.kernel_size, self.stride, self.padding
         )
         self.last_output_hw = (oh, ow)  # consumed by the traffic model
         w2d = self.weight.data.reshape(self.out_channels, -1)
         if self.engine is not None:
-            if fused:
-                # One version probe covers both phase copies.
-                w_fwd, w_bwd = self.engine.step_weights(
-                    self.layer_key, w2d, need_backward=grad_on
-                )
-            else:
-                w_fwd = self.engine.forward_weight(self.layer_key, w2d)
-                # The backward-copy read only feeds the input-gradient MVM;
-                # inference mode never runs it.
-                w_bwd = self.engine.backward_weight(self.layer_key, w2d) if grad_on else None
+            # One version probe covers both phase copies; the backward
+            # copy only feeds the input-gradient MVM, which inference
+            # mode never runs.
+            w_fwd, w_bwd = self.engine.step_weights(
+                self.layer_key, w2d, need_backward=grad_on
+            )
         else:
             w_fwd = w_bwd = w2d
         n = x.shape[0]
-        if fused:
-            arena = step_arena()
-            y = arena.take((cols.shape[0], self.out_channels), cols.dtype)
-            np.matmul(cols, w_fwd.T, out=y)
-            if self.bias is not None:
-                y += self.bias.data
-        else:
-            y = cols @ w_fwd.T
-            if self.bias is not None:
-                y = y + self.bias.data
+        arena = step_arena()
+        y = arena.take((cols.shape[0], self.out_channels), cols.dtype)
+        np.matmul(cols, w_fwd.T, out=y)
+        if self.bias is not None:
+            y += self.bias.data
         out_data = y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         if not grad_on:
             return Tensor(out_data)
@@ -227,34 +217,21 @@ class Conv2d(Module):
         x_shape = x.data.shape
         ks, st, pd = self.kernel_size, self.stride, self.padding
 
-        if fused:
-            def bwd(grad: np.ndarray) -> None:
-                co = self.out_channels
-                gy = arena.take((n * oh * ow, co), grad.dtype)
-                np.copyto(gy.reshape(n, oh, ow, co), grad.transpose(0, 2, 3, 1))
-                dw2d = arena.take((co, cols.shape[1]), cols.dtype)
-                np.matmul(gy.T, cols, out=dw2d)
-                if self.engine is not None:
-                    dw2d = self.engine.gradient_weight(self.layer_key, dw2d)
-                weight.grad += dw2d.reshape(weight.data.shape)
-                if bias is not None:
-                    bias.grad += gy.sum(axis=0)
-                if x.requires_grad and not x.skip_grad:
-                    dcols = arena.take(cols.shape, cols.dtype)
-                    np.matmul(gy, w_bwd, out=dcols)
-                    x.accumulate_grad(F.col2im(dcols, x_shape, ks, ks, st, pd))
-        else:
-            def bwd(grad: np.ndarray) -> None:
-                gy = grad.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-                dw2d = gy.T @ cols
-                if self.engine is not None:
-                    dw2d = self.engine.gradient_weight(self.layer_key, dw2d)
-                weight.grad += dw2d.reshape(weight.data.shape)
-                if bias is not None:
-                    bias.grad += gy.sum(axis=0)
-                if x.requires_grad:
-                    dcols = gy @ w_bwd
-                    x.accumulate_grad(F.col2im(dcols, x_shape, ks, ks, st, pd))
+        def bwd(grad: np.ndarray) -> None:
+            co = self.out_channels
+            gy = arena.take((n * oh * ow, co), grad.dtype)
+            np.copyto(gy.reshape(n, oh, ow, co), grad.transpose(0, 2, 3, 1))
+            dw2d = arena.take((co, cols.shape[1]), cols.dtype)
+            np.matmul(gy.T, cols, out=dw2d)
+            if self.engine is not None:
+                dw2d = self.engine.gradient_weight(self.layer_key, dw2d)
+            weight.grad += dw2d.reshape(weight.data.shape)
+            if bias is not None:
+                bias.grad += gy.sum(axis=0)
+            if x.requires_grad and not x.skip_grad:
+                dcols = arena.take(cols.shape, cols.dtype)
+                np.matmul(gy, w_bwd, out=dcols)
+                x.accumulate_grad(F.col2im(dcols, x_shape, ks, ks, st, pd))
 
         if tel is not None:
             key = self.layer_key
@@ -304,29 +281,19 @@ class Linear(Module):
         if x.ndim != 2:
             raise ValueError("Linear expects (N, features) input; Flatten first")
         grad_on = is_grad_enabled()
-        fused = is_fused()
         w2d = self.weight.data
         if self.engine is not None:
-            if fused:
-                w_fwd, w_bwd = self.engine.step_weights(
-                    self.layer_key, w2d, need_backward=grad_on
-                )
-            else:
-                w_fwd = self.engine.forward_weight(self.layer_key, w2d)
-                w_bwd = self.engine.backward_weight(self.layer_key, w2d) if grad_on else None
+            w_fwd, w_bwd = self.engine.step_weights(
+                self.layer_key, w2d, need_backward=grad_on
+            )
         else:
             w_fwd = w_bwd = w2d
-        if fused:
-            out_data = step_arena().take(
-                (x.data.shape[0], self.out_features), x.data.dtype
-            )
-            np.matmul(x.data, w_fwd.T, out=out_data)
-            if self.bias is not None:
-                out_data += self.bias.data
-        else:
-            out_data = x.data @ w_fwd.T
-            if self.bias is not None:
-                out_data = out_data + self.bias.data
+        out_data = step_arena().take(
+            (x.data.shape[0], self.out_features), x.data.dtype
+        )
+        np.matmul(x.data, w_fwd.T, out=out_data)
+        if self.bias is not None:
+            out_data += self.bias.data
         if not grad_on:
             return Tensor(out_data)
         weight, bias = self.weight, self.bias
@@ -388,48 +355,33 @@ class BatchNorm2d(Module):
             raise ValueError(
                 f"BatchNorm2d({self.channels}) got input of shape {x.shape}"
             )
-        if is_fused() and self.training:
-            return self._forward_fused(x)
-        axes = (0, 2, 3)
         if self.training:
-            mean = x.data.mean(axis=axes)
-            var = x.data.var(axis=axes)
-            self._update_stats(mean, var)
-        else:
-            mean, var = self.running_mean, self.running_var
-        std = np.sqrt(var + self.eps)
-        xhat = (x.data - mean[None, :, None, None]) / std[None, :, None, None]
+            return self._forward_train(x)
+        axes = (0, 2, 3)
+        std4 = np.sqrt(self.running_var + self.eps)[None, :, None, None]
+        xhat = (x.data - self.running_mean[None, :, None, None]) / std4
         out_data = (
             self.gamma.data[None, :, None, None] * xhat
             + self.beta.data[None, :, None, None]
         )
         gamma, beta = self.gamma, self.beta
-        m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-        training = self.training
 
         def bwd(grad: np.ndarray) -> None:
             gamma.grad += (grad * xhat).sum(axis=axes)
             beta.grad += grad.sum(axis=axes)
-            if not x.requires_grad:
-                return
-            g = gamma.data[None, :, None, None]
-            if training:
-                mean_g = grad.mean(axis=axes, keepdims=True)
-                mean_gx = (grad * xhat).mean(axis=axes, keepdims=True)
-                dx = (g / std[None, :, None, None]) * (grad - mean_g - xhat * mean_gx)
-            else:
-                dx = (g / std[None, :, None, None]) * grad
-            x.accumulate_grad(dx)
+            if x.requires_grad:
+                x.accumulate_grad((gamma.data[None, :, None, None] / std4) * grad)
 
         return Tensor(out_data, parents=(x,), backward=bwd)
 
-    def _forward_fused(self, x: Tensor) -> Tensor:
-        """Training forward/backward through arena buffers.
+    def _forward_train(self, x: Tensor) -> Tensor:
+        """Training forward/backward over batch statistics, through arena
+        buffers.
 
-        Bit-identical to the reference path: the normalisation temporaries
-        use ``take_like`` buffers that mirror the activation view's memory
-        layout (reductions are iteration-order sensitive), while the
-        backward temporaries are C-contiguous like the incoming gradient.
+        The normalisation temporaries use ``take_like`` buffers that
+        mirror the activation view's memory layout (reductions are
+        iteration-order sensitive), while the backward temporaries are
+        C-contiguous like the incoming gradient.
         """
         axes = (0, 2, 3)
         arena = step_arena()

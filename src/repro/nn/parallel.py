@@ -15,7 +15,7 @@ produces the same bits (asserted by ``tests/test_nn_parallel.py``).
 Sharded numerics intentionally differ from the single-process full-batch
 path: batch-norm statistics are per-shard, and the batch loss is the
 shard-size-weighted mean of the per-shard losses.  The contract is
-*worker-count invariance*, not equivalence with ``fused``/reference
+*worker-count invariance*, not equivalence with single-process
 full-batch training.
 
 Workers are persistent SPMD processes driven over a pipe: ``("epoch",
@@ -30,7 +30,6 @@ worker, so determinism rests on the named RNG streams of
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
 import time
@@ -42,7 +41,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.layers import BatchNorm2d, Module
 from repro.nn.optim import cosine_lr
-from repro.nn.tensor import Tensor, fused_mode, step_arena
+from repro.nn.tensor import Tensor, step_arena, step_scope
 from repro.nn.data import SyntheticDataset
 from repro.nn.trainer import Trainer
 from repro.telemetry import Telemetry
@@ -226,13 +225,11 @@ def _run_sharded_epoch(trainer: Trainer, comm: _ShardComm, epoch: int) -> float:
 
     for m in comm.bn_mods:
         m.stats_sink = stats_sink
-    grant_ctx = fused_mode() if cfg.fused else contextlib.nullcontext()
-    arena = step_arena() if cfg.fused else None
+    arena = step_arena()
 
     def run_shard(s, lo, hi, idx, nb):
         xb = Tensor(x[idx[lo:hi]], requires_grad=True)
-        if cfg.fused:
-            xb.skip_grad = True
+        xb.skip_grad = True
         batch_stats.clear()
         logits = model(xb)
         loss = F.softmax_cross_entropy(logits, y[idx[lo:hi]])
@@ -249,11 +246,10 @@ def _run_sharded_epoch(trainer: Trainer, comm: _ShardComm, epoch: int) -> float:
             np.copyto(mv, mean)
             np.copyto(vv, var)
         slot.loss[0] = float(loss.data)
-        if arena is not None:
-            arena.reset()
+        arena.reset()
 
     try:
-        with grant_ctx:
+        with step_scope():
             for start in range(0, len(y), cfg.batch_size):
                 t_step = time.perf_counter() if profiling else 0.0
                 idx = order[start : start + cfg.batch_size]
@@ -315,8 +311,7 @@ def _run_sharded_epoch(trainer: Trainer, comm: _ShardComm, epoch: int) -> float:
                 trainer.optimizer.step()
                 if trainer.post_step is not None:
                     trainer.post_step()
-                if arena is not None:
-                    arena.reset()
+                arena.reset()
                 total_loss += batch_loss * nb
                 total_n += nb
                 if profiling:

@@ -22,8 +22,7 @@ __all__ = [
     "default_dtype",
     "no_grad",
     "is_grad_enabled",
-    "fused_mode",
-    "is_fused",
+    "step_scope",
     "step_arena",
 ]
 
@@ -94,51 +93,46 @@ def no_grad():
         _MODE_TLS.grad = old
 
 
-#: when True, layers route through their fused hot paths: forward and
-#: backward work runs through preallocated step-arena buffers and
-#: in-place ``out=`` ufunc/GEMM calls instead of fresh allocations.  The
-#: produced numbers are bit-identical to the reference path (asserted by
-#: tests/test_nn_fused.py); only the memory traffic changes.  Toggled by
-#: :func:`fused_mode` around the training loop.  Per-thread, like the
-#: grad flag: a fused training loop on one thread must not reroute a
-#: serving forward on another through the arena paths.
-
-
-def is_fused() -> bool:
-    """Whether the fused (preallocated-buffer) hot paths are active."""
-    return getattr(_MODE_TLS, "fused", False)
+#: when True, :class:`BufferArena` grants come from its per-step pools;
+#: otherwise every grant is a fresh array.  Toggled by :func:`step_scope`
+#: around the training loop.  Per-thread, like the grad flag: a training
+#: loop on one thread must not hand pooled buffers to a serving forward
+#: on another.
 
 
 @contextlib.contextmanager
-def fused_mode(enabled: bool = True):
-    """Enable the fused training hot paths inside the block.
+def step_scope():
+    """Pool the step arena's buffers inside the block.
 
-    The trainer wraps each epoch's batch loop in this context (when
-    ``TrainConfig.fused`` is on) and calls ``step_arena().reset()`` after
-    every optimiser step, so each step replays the same deterministic
-    sequence of buffer grants and every large temporary is reused across
-    steps instead of reallocated.
+    The trainer wraps each epoch's batch loop in this context and calls
+    ``step_arena().reset()`` after every optimiser step, so each step
+    replays the same deterministic sequence of buffer grants and every
+    large temporary is reused across steps instead of reallocated.
     """
-    old = getattr(_MODE_TLS, "fused", False)
-    _MODE_TLS.fused = enabled
+    old = getattr(_MODE_TLS, "step", False)
+    _MODE_TLS.step = True
     try:
         yield
     finally:
-        _MODE_TLS.fused = old
+        _MODE_TLS.step = old
 
 
 class BufferArena:
-    """Deterministic per-step scratch allocator for the fused hot paths.
+    """Deterministic per-step scratch allocator for the layer hot paths.
 
-    ``take(shape, dtype)`` hands out a buffer from a per-(shape, dtype)
-    free list and advances a cursor; ``reset()`` rewinds all cursors.
-    Within one training step every ``take`` returns a *distinct* buffer
-    (so aliasing between live temporaries is impossible); across steps
-    the same call sequence receives the same warm buffers, eliminating
-    the allocation and page-fault traffic of the reference path.  Buffers
-    granted during a step stay valid until the next ``reset()`` — the
-    trainer resets only after the optimiser step, so autograd closures
-    may freely capture arena buffers.
+    Inside :func:`step_scope`, ``take(shape, dtype)`` hands out a buffer
+    from a per-(shape, dtype) free list and advances a cursor; ``reset()``
+    rewinds all cursors.  Within one training step every ``take`` returns
+    a *distinct* buffer (so aliasing between live temporaries is
+    impossible); across steps the same call sequence receives the same
+    warm buffers, eliminating the allocation and page-fault traffic of
+    fresh temporaries.  Buffers granted during a step stay valid until
+    the next ``reset()`` — the trainer resets only after the optimiser
+    step, so autograd closures may freely capture arena buffers.
+
+    Outside the scope every grant is a fresh array, so evaluation,
+    serving and ad hoc autograd run the same layer code and allocate
+    exactly what plain NumPy expressions would.
     """
 
     __slots__ = ("_pools", "_cursors")
@@ -148,21 +142,25 @@ class BufferArena:
         self._cursors: dict[tuple, int] = {}
 
     def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        if not getattr(_MODE_TLS, "step", False):
+            return np.empty(shape, dtype=dtype)
         key = (shape, None, np.dtype(dtype).str)
         return self._grant(key, shape, dtype, None)
 
     def take_like(self, a: np.ndarray) -> np.ndarray:
         """A buffer matching ``a``'s shape, dtype *and* memory layout.
 
-        The fused paths must reproduce the reference path's memory order
-        bit-for-bit: pairwise-summation reductions depend on iteration
-        order, and ufuncs keep their input's layout — so keep-order
-        outputs (the batch-norm temporaries over the conv layers'
-        transposed activation views) need buffers with matching strides,
-        not C-contiguous ones.
+        Layer outputs must keep the memory order a plain ufunc would give
+        them: pairwise-summation reductions depend on iteration order,
+        and ufuncs keep their input's layout — so keep-order outputs (the
+        batch-norm temporaries over the conv layers' transposed
+        activation views) need buffers with matching strides, not
+        C-contiguous ones.
         """
         if a.flags.c_contiguous:
             return self.take(a.shape, a.dtype)
+        if not getattr(_MODE_TLS, "step", False):
+            return np.empty_like(a)
         key = (a.shape, a.strides, np.dtype(a.dtype).str)
         return self._grant(key, a.shape, a.dtype, a)
 
@@ -186,17 +184,12 @@ class BufferArena:
         for key in self._cursors:
             self._cursors[key] = 0
 
-    def clear(self) -> None:
-        """Drop every pooled buffer (frees memory between experiments)."""
-        self._pools.clear()
-        self._cursors.clear()
-
 
 _STEP_ARENA = BufferArena()
 
 
 def step_arena() -> BufferArena:
-    """The process-wide arena used by the fused training paths."""
+    """The process-wide arena behind every layer temporary."""
     return _STEP_ARENA
 
 
@@ -253,7 +246,7 @@ class Tensor:
 
         ``donate=True`` transfers ownership of ``grad`` to this tensor
         when it is the first contribution — callers holding a contiguous
-        buffer nothing else will touch (the fused layer backwards) use it
+        buffer nothing else will touch (the layer backwards) use it
         to skip the defensive copy.  Donated buffers must match the
         layout a fresh ``grad.copy()`` would have produced (C-contiguous)
         so downstream reductions see identical memory order.
@@ -265,12 +258,10 @@ class Tensor:
         if self.grad is None:
             if donate:
                 self.grad = grad
-            elif getattr(_MODE_TLS, "fused", False):
+            else:
                 buf = _STEP_ARENA.take(grad.shape, grad.dtype)
                 np.copyto(buf, grad)
                 self.grad = buf
-            else:
-                self.grad = grad.copy()
         else:
             self.grad += grad
 

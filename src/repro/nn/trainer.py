@@ -8,7 +8,6 @@ epoch, before the weights are updated for the next" schedule.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -18,7 +17,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.layers import Module
 from repro.nn.optim import SGD, cosine_lr
-from repro.nn.tensor import Tensor, fused_mode, no_grad, step_arena
+from repro.nn.tensor import Tensor, no_grad, step_arena, step_scope
 from repro.nn.data import SyntheticDataset
 from repro.telemetry import Telemetry, null_telemetry
 from repro.utils.config import TrainConfig
@@ -84,22 +83,19 @@ class Trainer:
         # histogram observe per *batch* is cheap, but the hot-loop
         # discipline says the default path adds nothing at all.
         profiling = tel.enabled and tel.profile
-        fused = cfg.fused
         # The epoch loss weights every per-batch loss by its batch size,
         # so the trailing partial batch does not bias the mean.
         total_loss = 0.0
         total_n = 0
-        grant_ctx = fused_mode() if fused else contextlib.nullcontext()
-        arena = step_arena() if fused else None
-        with grant_ctx:
+        arena = step_arena()
+        with step_scope():
             for start in range(0, len(y), cfg.batch_size):
                 t_step = time.perf_counter() if profiling else 0.0
                 idx = order[start : start + cfg.batch_size]
                 xb = Tensor(x[idx], requires_grad=True)
-                if fused:
-                    # Nothing consumes the batch input's gradient; skip
-                    # the first conv's col2im fold entirely.
-                    xb.skip_grad = True
+                # Nothing consumes the batch input's gradient; skip the
+                # first conv's col2im fold entirely.
+                xb.skip_grad = True
                 logits = self.model(xb)
                 loss = F.softmax_cross_entropy(logits, y[idx])
                 self.optimizer.zero_grad()
@@ -107,10 +103,9 @@ class Trainer:
                 self.optimizer.step()
                 if self.post_step is not None:
                     self.post_step()
-                if arena is not None:
-                    # Backward is complete and the weights are stepped:
-                    # every arena temporary is dead; rewind for reuse.
-                    arena.reset()
+                # Backward is complete and the weights are stepped: every
+                # arena temporary is dead; rewind for reuse.
+                arena.reset()
                 nb = len(idx)
                 total_loss += float(loss.data) * nb
                 total_n += nb
@@ -132,11 +127,11 @@ class Trainer:
     ) -> np.ndarray:
         """Logits for a batch of inputs (inference mode, cache-hot).
 
-        Runs in inference mode by default (``TrainConfig.eval_fastpath``):
-        no autograd graph, no backward-copy weight clamp, and the crossbar
-        engine serves its cached effective weights for every batch after
-        the first.  The produced logits are identical to the graph-building
-        path — asserted by ``tests/test_nn_eval_cache.py``.
+        Runs under :func:`~repro.nn.tensor.no_grad`: no autograd graph, no
+        backward-copy weight clamp, and the crossbar engine serves its
+        cached forward-copy weights for every batch after the first.  The
+        produced logits are identical to a graph-building forward's —
+        asserted by ``tests/test_nn_eval_cache.py``.
 
         ``batch`` overrides the resolved :meth:`eval_batch_size`.
         ``pad_to`` zero-pads every micro-batch to a fixed row count before
@@ -148,9 +143,8 @@ class Trainer:
         """
         b = batch if batch is not None else self.eval_batch_size()
         self.model.eval()
-        grad_ctx = no_grad() if self.config.eval_fastpath else contextlib.nullcontext()
         outputs: list[np.ndarray] = []
-        with grad_ctx:
+        with no_grad():
             for start in range(0, len(x), b):
                 xb = x[start : start + b]
                 n = len(xb)

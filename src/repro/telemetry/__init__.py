@@ -31,7 +31,7 @@ to Chrome trace-event JSON loadable in Perfetto / ``chrome://tracing``.
 
 Hot-path discipline
 -------------------
-The per-MVM fast path (``CrossbarEngine.forward_weight`` cache hits) emits
+The per-MVM fast path (``CrossbarEngine.step_weights`` cache hits) emits
 *nothing*: the engine keeps its hit/miss/recompute statistics as plain
 ``int`` attributes and publishes them into the sink once per run.  Two
 opt-in flags unlock deeper instrumentation:

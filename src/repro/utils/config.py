@@ -215,22 +215,11 @@ class TrainConfig:
     #: globally by the caller) so parallel runner workers configure their
     #: own process correctly.
     dtype: str = "float32"
-    #: enable the recomputation-elimination fast paths: the crossbar
-    #: engine's version-keyed effective-weight cache plus autograd-free
-    #: (no_grad) evaluation.  Results are bit-identical either way —
-    #: the switch exists for the equivalence tests and benchmarks.
-    eval_fastpath: bool = True
     #: evaluation / inference batch size.  0 (the default) resolves to
     #: ``max(batch_size, 64)`` — the historical ``Trainer.evaluate``
     #: behaviour; a positive value pins it (the serving stack sets it to
     #: the micro-batcher's slot count so eval and serving share shapes).
     eval_batch: int = 0
-    #: route training through the fused hot loop: one effective-weight
-    #: probe per (step, layer), arena-pooled temporaries and in-place
-    #: ``out=`` GEMM/ufunc calls.  Results are bit-identical to the
-    #: ``fused=False`` reference path (asserted by tests/test_nn_fused.py);
-    #: the switch exists for the equivalence tests and benchmarks.
-    fused: bool = True
     #: number of data-parallel training worker processes (0 or 1 =
     #: single-process).  Each batch is split into ``grad_shards``
     #: micro-shards distributed round-robin over the workers and the

@@ -398,6 +398,11 @@ def _inject_some_faults(chip: Chip, mapping, count: int = 10) -> None:
     chip.bump_fault_version()
 
 
+def _fwd(engine: CrossbarEngine, layer, w2d: np.ndarray) -> np.ndarray:
+    """The forward-copy effective weight, as an inference read sees it."""
+    return engine.step_weights(layer.layer_key, w2d, need_backward=False)[0]
+
+
 class TestEngineDriftPath:
     """Regression for the dead ``apply_drift`` path (bugfix satellite)."""
 
@@ -406,16 +411,14 @@ class TestEngineDriftPath:
         conv = model.items[0]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
         engine.set_variation(VariationModel(drift_per_epoch=0.1), None)
-        fresh = engine.forward_weight(conv.layer_key, w2d).copy()
+        fresh = _fwd(engine, conv, w2d).copy()
         engine.advance_drift()
         engine.advance_drift()
-        drifted = engine.forward_weight(conv.layer_key, w2d).copy()
+        drifted = _fwd(engine, conv, w2d).copy()
         np.testing.assert_allclose(drifted, fresh * 0.9**2, rtol=1e-6)
         # A full reprogram restores the undrifted conductances, bit-exact.
         engine.refresh_programming()
-        np.testing.assert_array_equal(
-            engine.forward_weight(conv.layer_key, w2d), fresh
-        )
+        np.testing.assert_array_equal(_fwd(engine, conv, w2d), fresh)
 
     def test_drift_only_model_stays_cached(self, bound):
         model, engine = bound
@@ -423,12 +426,12 @@ class TestEngineDriftPath:
         w2d = conv.weight.data.reshape(conv.matrix_shape)
         engine.set_variation(VariationModel(drift_per_epoch=0.1), None)
         engine.reset_cache_stats()
-        engine.forward_weight(conv.layer_key, w2d)
-        engine.forward_weight(conv.layer_key, w2d)
+        _fwd(engine, conv, w2d)
+        _fwd(engine, conv, w2d)
         assert engine.cache_misses == 1 and engine.cache_hits == 1
         # ... but an epoch boundary is a *different* key, never stale.
         engine.advance_drift()
-        engine.forward_weight(conv.layer_key, w2d)
+        _fwd(engine, conv, w2d)
         assert engine.cache_misses == 2
 
     def test_advance_drift_noop_without_drift(self, bound):
@@ -477,11 +480,11 @@ class TestCacheBypassAudit:
             VariationModel(read_sigma=0.05), derive_rng(3, "variation")
         )
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        a = engine.forward_weight(conv.layer_key, w2d).copy()
-        b = engine.forward_weight(conv.layer_key, w2d).copy()
+        a = _fwd(engine, conv, w2d).copy()
+        b = _fwd(engine, conv, w2d).copy()
         assert not np.array_equal(a, b)
         # Nothing was cached while stochastic — no entry to go stale.
-        assert not engine._eff_cache and not engine._step_cache
+        assert not engine._eff_cache
         assert engine.cache_hits == 0
 
     def test_same_rng_stream_replays_reproducibly(self, bound):
@@ -495,7 +498,7 @@ class TestCacheBypassAudit:
                 derive_rng(11, "variation"),
             )
             runs.append([
-                engine.forward_weight(conv.layer_key, w2d).copy()
+                _fwd(engine, conv, w2d).copy()
                 for _ in range(3)
             ])
         for a, b in zip(*runs):
@@ -512,16 +515,16 @@ class TestCacheBypassAudit:
         b_f, b_b = engine.step_weights(conv.layer_key, w2d)
         assert not np.array_equal(a_f, b_f)
         assert not np.array_equal(a_b, b_b)
-        assert not engine._step_cache
+        assert not engine._eff_cache
 
     def test_set_variation_invalidates_cached_entries(self, bound):
         model, engine = bound
         conv = model.items[0]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        engine.forward_weight(conv.layer_key, w2d)
+        _fwd(engine, conv, w2d)
         engine.reset_cache_stats()
         engine.set_variation(VariationModel(drift_per_epoch=0.2), None)
-        engine.forward_weight(conv.layer_key, w2d)
+        _fwd(engine, conv, w2d)
         assert engine.cache_misses == 1 and engine.cache_hits == 0
 
     def test_analog_epoch_version_never_serves_stale_flips(self, bound):
@@ -533,12 +536,12 @@ class TestCacheBypassAudit:
         )
         engine.set_analog(stack)
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        clean = engine.forward_weight(conv.layer_key, w2d).copy()
+        clean = _fwd(engine, conv, w2d).copy()
         engine.reset_cache_stats()
-        engine.forward_weight(conv.layer_key, w2d)
+        _fwd(engine, conv, w2d)
         assert engine.cache_hits == 1  # deterministic layer: cache stays on
         stack.advance_epoch(0)
-        flipped = engine.forward_weight(conv.layer_key, w2d).copy()
+        flipped = _fwd(engine, conv, w2d).copy()
         assert engine.cache_misses == 1
         assert not np.array_equal(clean, flipped)
         site = stack.soft.flips(conv.layer_key, "fwd")
@@ -552,23 +555,10 @@ class TestEngineAnalogIntegration:
         engine.set_analog(AnalogStack(ANALOG_PRESETS["quant"]))
         w2d = conv.weight.data.reshape(conv.matrix_shape)
         before = w2d.copy()
-        out = engine.forward_weight(conv.layer_key, w2d)
+        out = _fwd(engine, conv, w2d)
         assert out is not w2d
         np.testing.assert_array_equal(w2d, before)
         assert not np.array_equal(out, w2d)  # quantization did act
-
-    def test_step_weights_matches_per_path_reads(self, bound):
-        model, engine = bound
-        conv = model.items[0]
-        engine.set_analog(AnalogStack(ANALOG_PRESETS["quant"]))
-        w2d = conv.weight.data.reshape(conv.matrix_shape)
-        w_fwd, w_bwd = engine.step_weights(conv.layer_key, w2d)
-        np.testing.assert_array_equal(
-            w_fwd, engine.forward_weight(conv.layer_key, w2d)
-        )
-        np.testing.assert_array_equal(
-            w_bwd, engine.backward_weight(conv.layer_key, w2d)
-        )
 
     def test_applies_on_top_of_stuck_at_clamp(self, bound, small_chip):
         model, engine = bound
@@ -576,9 +566,9 @@ class TestEngineAnalogIntegration:
         for m in engine.copies[conv.layer_key]:
             _inject_some_faults(small_chip, m)
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        clamped = engine.forward_weight(conv.layer_key, w2d).copy()
+        clamped = _fwd(engine, conv, w2d).copy()
         engine.set_analog(AnalogStack(ANALOG_PRESETS["quant"]))
-        quantized = engine.forward_weight(conv.layer_key, w2d)
+        quantized = _fwd(engine, conv, w2d)
         assert not np.array_equal(clamped, quantized)
         # The analog transform is applied to the *clamped* weights.
         assert np.abs(quantized - clamped).max() < np.abs(quantized - w2d).max()

@@ -71,7 +71,7 @@ class TestVariationModel:
         for _, mod in ctx.model.named_modules():
             if getattr(mod, "layer_key", None) == key:
                 w2d = mod.weight.data.reshape(mod.matrix_shape)
-                out = ctx.engine.forward_weight(key, w2d)
+                out, _ = ctx.engine.step_weights(key, w2d, need_backward=False)
                 assert not np.allclose(out, w2d)
                 break
 

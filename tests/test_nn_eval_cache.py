@@ -2,13 +2,15 @@
 
 The cache and the autograd-free inference mode are pure optimisations —
 every test here pins down that they change *nothing* numerically (bit
-identity) and that every mutation channel (weights, faults, overrides)
-invalidates the cache rather than serving a stale clamp.
+identity), that every mutation channel (weights, faults, overrides)
+invalidates the cache rather than serving a stale clamp, and that the
+cache does exactly the work it is counted to do.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.controller import apply_epoch_end, build_experiment
 from repro.faults.types import FaultType
 from repro.faults.variation import VariationModel
 from repro.nn.data import cached_dataset, clear_dataset_cache, make_dataset
@@ -40,6 +42,11 @@ def _inject_some_faults(chip: Chip, mapping, count: int = 10) -> None:
     pair.pos.fault_map.inject(np.arange(count), FaultType.SA1)
     pair.neg.fault_map.inject(np.arange(count, 2 * count), FaultType.SA0)
     chip.bump_fault_version()
+
+
+def _fwd(engine: CrossbarEngine, layer, w2d: np.ndarray) -> np.ndarray:
+    """The forward-copy effective weight, as an inference read sees it."""
+    return engine.step_weights(layer.layer_key, w2d, need_backward=False)[0]
 
 
 @pytest.fixture
@@ -100,32 +107,33 @@ class TestEffectiveWeightCache:
         model, engine = faulty_bound
         conv = model.items[0]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        first = engine.forward_weight(conv.layer_key, w2d).copy()
-        engine.cache_enabled = False
-        recomputed = engine.forward_weight(conv.layer_key, w2d)
+        first = _fwd(engine, conv, w2d).copy()
+        engine.invalidate_weight_cache()
+        recomputed = _fwd(engine, conv, w2d)
+        assert engine.cache_misses == 2
         np.testing.assert_array_equal(first, recomputed)
 
     def test_weight_write_invalidates(self, faulty_bound):
         model, engine = faulty_bound
         conv = model.items[0]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        stale = engine.forward_weight(conv.layer_key, w2d).copy()
+        stale = _fwd(engine, conv, w2d).copy()
         conv.weight.data *= 2.0
         conv.weight.bump_version()
-        fresh = engine.forward_weight(conv.layer_key, w2d)
+        fresh = _fwd(engine, conv, w2d).copy()
         assert not np.array_equal(stale, fresh)
-        engine.cache_enabled = False
-        np.testing.assert_array_equal(fresh, engine.forward_weight(conv.layer_key, w2d))
+        engine.invalidate_weight_cache()
+        np.testing.assert_array_equal(fresh, _fwd(engine, conv, w2d))
 
     def test_sgd_step_invalidates(self, faulty_bound):
         model, engine = faulty_bound
         conv = model.items[0]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        stale = engine.forward_weight(conv.layer_key, w2d).copy()
+        stale = _fwd(engine, conv, w2d).copy()
         opt = SGD(model.parameters(), lr=0.5, momentum=0.0)
         conv.weight.grad[...] = 1.0
         opt.step()
-        fresh = engine.forward_weight(conv.layer_key, w2d)
+        fresh = _fwd(engine, conv, w2d)
         assert not np.array_equal(stale, fresh)
 
     def test_fault_injection_invalidates(self, faulty_bound, chip):
@@ -133,27 +141,25 @@ class TestEffectiveWeightCache:
         conv = model.items[0]
         fwd, _ = engine.copies[conv.layer_key]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        stale = engine.forward_weight(conv.layer_key, w2d).copy()
+        stale = _fwd(engine, conv, w2d).copy()
         pair = chip.pair(int(fwd.pair_ids[0, 0]))
         pair.pos.fault_map.codes[:] = FaultType.SA1
         chip.bump_fault_version()
-        fresh = engine.forward_weight(conv.layer_key, w2d)
+        fresh = _fwd(engine, conv, w2d).copy()
         assert not np.array_equal(stale, fresh)
-        engine.cache_enabled = False
-        np.testing.assert_array_equal(fresh, engine.forward_weight(conv.layer_key, w2d))
+        engine.invalidate_weight_cache()
+        np.testing.assert_array_equal(fresh, _fwd(engine, conv, w2d))
 
     def test_override_invalidates(self, faulty_bound):
         model, engine = faulty_bound
         conv = model.items[0]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        corrupted = engine.forward_weight(conv.layer_key, w2d).copy()
+        corrupted = _fwd(engine, conv, w2d).copy()
         assert not np.array_equal(corrupted, w2d)
         engine.set_override(conv.layer_key, np.ones(conv.matrix_shape, bool), None)
-        np.testing.assert_array_equal(engine.forward_weight(conv.layer_key, w2d), w2d)
+        np.testing.assert_array_equal(_fwd(engine, conv, w2d), w2d)
         engine.clear_overrides()
-        np.testing.assert_array_equal(
-            engine.forward_weight(conv.layer_key, w2d), corrupted
-        )
+        np.testing.assert_array_equal(_fwd(engine, conv, w2d), corrupted)
 
     def test_variation_bypasses_cache(self, faulty_bound, rng):
         model, engine = faulty_bound
@@ -163,26 +169,58 @@ class TestEffectiveWeightCache:
             derive_rng(3, "variation"),
         )
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        a = engine.forward_weight(conv.layer_key, w2d).copy()
-        b = engine.forward_weight(conv.layer_key, w2d).copy()
+        a = _fwd(engine, conv, w2d).copy()
+        b = _fwd(engine, conv, w2d).copy()
         assert not np.array_equal(a, b)  # noise redrawn per read, no reuse
 
     def test_invalidate_weight_cache_forces_recompute(self, faulty_bound):
         model, engine = faulty_bound
         conv = model.items[0]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        engine.forward_weight(conv.layer_key, w2d)
+        _fwd(engine, conv, w2d)
         engine.cache_hits = engine.cache_misses = 0
         engine.invalidate_weight_cache()
-        engine.forward_weight(conv.layer_key, w2d)
+        _fwd(engine, conv, w2d)
         assert engine.cache_misses == 1 and engine.cache_hits == 0
 
 
-def _tiny_experiment(eval_fastpath: bool) -> ExperimentConfig:
+class TestCacheCounting:
+    def test_train_eval_train_counts(self):
+        """Cache work for train step -> fault bump + eval -> train step.
+
+        A train step reads both copies of every layer; eval after a fault
+        bump reads only the forward copy (one miss per layer on the first
+        batch, hits after); the next train step finds the forward copy
+        cached at the same key and computes just the backward one.
+        """
+        cfg = ExperimentConfig(
+            train=TrainConfig(
+                model="vgg11", epochs=2, batch_size=16, n_train=16, n_test=32,
+                width_mult=0.125, eval_batch=8,
+            ),
+            chip=ChipConfig(crossbar=CrossbarConfig(rows=32, cols=32)),
+            faults=FaultConfig(post_n=0.5, post_m=0.01),
+            policy="remap-d",
+            seed=11,
+        )
+        ctx = build_experiment(cfg)
+        engine, trainer = ctx.engine, ctx.trainer
+        assert len(engine.layer_keys()) == 9
+        engine.reset_cache_stats()
+        trainer.train_epoch(0)  # one step
+        assert engine.cache_stats() == {"hits": 0, "misses": 18, "recomputes": 18}
+        ctx.chip.bump_fault_version()
+        trainer.predict(ctx.dataset.x_test)  # four batches
+        assert engine.cache_stats() == {"hits": 27, "misses": 27, "recomputes": 27}
+        trainer.train_epoch(1)
+        assert engine.cache_stats() == {"hits": 36, "misses": 36, "recomputes": 36}
+
+
+def _tiny_experiment() -> ExperimentConfig:
     return ExperimentConfig(
         train=TrainConfig(
             model="vgg11", epochs=2, batch_size=16, n_train=48, n_test=32,
-            width_mult=0.125, eval_fastpath=eval_fastpath,
+            width_mult=0.125,
         ),
         chip=ChipConfig(crossbar=CrossbarConfig(rows=32, cols=32)),
         faults=FaultConfig(phase_target="backward", phase_density=0.01),
@@ -192,17 +230,24 @@ def _tiny_experiment(eval_fastpath: bool) -> ExperimentConfig:
 
 
 class TestEndToEndEquivalence:
-    def test_training_curve_bit_identical_fastpath_on_off(self):
-        from repro.core.controller import run_experiment
-
-        fast = run_experiment(_tiny_experiment(eval_fastpath=True))
-        slow = run_experiment(_tiny_experiment(eval_fastpath=False))
-        assert (
-            fast.train_result.accuracy_curve() == slow.train_result.accuracy_curve()
-        )
-        fast_losses = [h["loss"] for h in fast.train_result.history]
-        slow_losses = [h["loss"] for h in slow.train_result.history]
-        assert fast_losses == slow_losses
+    def test_predict_matches_graph_building_forward(self):
+        ctx = build_experiment(_tiny_experiment())
+        trainer = ctx.trainer
+        bist_rng = ctx.rng_hub.stream("bist")
+        for epoch in range(ctx.config.train.epochs):
+            trainer.train_epoch(epoch)
+            apply_epoch_end(ctx, bist_rng, epoch, trainer)
+        x = ctx.dataset.x_test
+        fast = trainer.predict(x)
+        # The graph-building forward reads both copies afresh, builds the
+        # autograd graph and takes fresh buffers for every temporary.
+        ctx.engine.invalidate_weight_cache()
+        ctx.model.eval()
+        b = trainer.eval_batch_size()
+        slow = np.concatenate([
+            ctx.model(Tensor(x[i:i + b])).data for i in range(0, len(x), b)
+        ])
+        np.testing.assert_array_equal(fast, slow)
 
 
 class TestDatasetCache:

@@ -66,8 +66,9 @@ class TestWeightPaths:
         model, engine = bound
         conv = model.items[0]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        np.testing.assert_array_equal(engine.forward_weight(conv.layer_key, w2d), w2d)
-        np.testing.assert_array_equal(engine.backward_weight(conv.layer_key, w2d), w2d)
+        w_fwd, w_bwd = engine.step_weights(conv.layer_key, w2d)
+        np.testing.assert_array_equal(w_fwd, w2d)
+        np.testing.assert_array_equal(w_bwd, w2d)
         np.testing.assert_array_equal(engine.gradient_weight(conv.layer_key, w2d), w2d)
 
     def test_phase_isolation(self, bound, chip, rng):
@@ -79,8 +80,9 @@ class TestWeightPaths:
         pair.pos.fault_map.inject(np.arange(12), FaultType.SA1)
         chip.bump_fault_version()
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        np.testing.assert_array_equal(engine.forward_weight(conv.layer_key, w2d), w2d)
-        assert (engine.backward_weight(conv.layer_key, w2d) != w2d).any()
+        w_fwd, w_bwd = engine.step_weights(conv.layer_key, w2d)
+        np.testing.assert_array_equal(w_fwd, w2d)
+        assert (w_bwd != w2d).any()
 
     def test_faults_disabled_bypasses_everything(self, bound, chip):
         model, engine = bound
@@ -92,7 +94,7 @@ class TestWeightPaths:
         chip.bump_fault_version()
         engine.faults_enabled = False
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        np.testing.assert_array_equal(engine.backward_weight(conv.layer_key, w2d), w2d)
+        np.testing.assert_array_equal(engine.step_weights(conv.layer_key, w2d)[1], w2d)
 
     def test_override_neutralises_faults(self, bound, chip):
         model, engine = bound
@@ -102,13 +104,11 @@ class TestWeightPaths:
         pair.pos.fault_map.inject(np.arange(8), FaultType.SA1)
         chip.bump_fault_version()
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        corrupted = engine.forward_weight(conv.layer_key, w2d)
+        corrupted, _ = engine.step_weights(conv.layer_key, w2d)
         assert (corrupted != w2d).any()
         override = np.ones(conv.matrix_shape, dtype=bool)
         engine.set_override(conv.layer_key, override, None)
-        np.testing.assert_array_equal(
-            engine.forward_weight(conv.layer_key, w2d), w2d
-        )
+        np.testing.assert_array_equal(engine.step_weights(conv.layer_key, w2d)[0], w2d)
 
     def test_override_requires_bool(self, bound):
         model, engine = bound
