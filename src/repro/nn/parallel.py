@@ -45,6 +45,7 @@ from repro.nn.tensor import Tensor, step_arena, step_scope
 from repro.nn.data import SyntheticDataset
 from repro.nn.trainer import Trainer
 from repro.telemetry import Telemetry
+from repro.utils.blas import set_blas_threads
 from repro.utils.config import TrainConfig
 
 __all__ = [
@@ -478,6 +479,7 @@ class DataParallelTrainer(Trainer):
         self._local_buf = None
         self._segments: list = []
         self._comm: _ShardComm | None = None
+        #: the caller's BLAS thread count while rank 0 runs on one
         self._thread_limit = None
         self._watchdog: threading.Thread | None = None
         self._watchdog_stop: threading.Event | None = None
@@ -531,16 +533,8 @@ class DataParallelTrainer(Trainer):
             import multiprocessing as mp
             from multiprocessing import shared_memory
 
-            from repro.runner.runner import (
-                ExperimentCell,
-                _export_datasets_shm,
-                _limit_worker_threads,
-            )
+            from repro.runner.runner import ExperimentCell, _export_datasets_shm
 
-            # One BLAS thread per rank, rank 0 included: parallelism
-            # comes from the ranks, and identical replicas require every
-            # rank to run the identical kernel schedule.
-            _limit_worker_threads()
             method = self.start_method
             if method is None:
                 method = (
@@ -583,6 +577,11 @@ class DataParallelTrainer(Trainer):
                 name="repro-dp-watchdog",
             )
             self._watchdog.start()
+            # Rank 0 runs one BLAS thread while the ranks live, like every
+            # worker rank (``_init_worker``): the parallelism comes from
+            # the ranks, and a BLAS pool in each would oversubscribe the
+            # cores.  ``shutdown`` gives the caller its count back.
+            self._thread_limit = set_blas_threads(1)
         slots = _carve_slots(buf, params, bn_mods, shards)
         scale_view = np.frombuffer(
             buf, dtype=np.float64, count=scale_count,
@@ -643,6 +642,9 @@ class DataParallelTrainer(Trainer):
             self._watchdog.join(timeout=5)
             self._watchdog = None
             self._watchdog_stop = None
+        if self._thread_limit is not None:
+            set_blas_threads(self._thread_limit)
+            self._thread_limit = None
         self._procs.clear()
         self._conns.clear()
         # Drop every view into the exchange buffer before unlinking it.

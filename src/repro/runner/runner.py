@@ -29,9 +29,11 @@ worker processes:
   each finished cell to a JSONL checkpoint
   (:mod:`repro.runner.checkpoint`) and skips cells the file already
   holds, so an interrupted sweep resumes bit-identically.
-* **Oversubscription control** — workers pin their BLAS thread pools to a
-  single thread when ``threadpoolctl`` is available; the matrices here
-  are small enough that process-level parallelism dominates.
+* **Oversubscription control** — every worker process (sweep cell, serve
+  replica, data-parallel rank) starts in :func:`_init_worker`, which sets
+  NumPy's OpenBLAS to one thread (:mod:`repro.utils.blas`); the matrices
+  here are small enough that process-level parallelism dominates.  The
+  calling process keeps its own count.
 
 Environment knobs: ``REPRO_BENCH_WORKERS`` (worker count, ``"auto"`` =
 one per CPU, default serial), ``REPRO_BENCH_TIMEOUT`` (per-cell seconds,
@@ -74,6 +76,7 @@ from repro.nn.data import (
 from repro.runner.checkpoint import CheckpointStore, cell_fingerprint
 from repro.telemetry import Telemetry, null_telemetry
 from repro.telemetry.live import FLIGHT_ENV, attach_worker_live, flight_path
+from repro.utils.blas import set_blas_threads
 from repro.utils.config import ExperimentConfig
 
 __all__ = [
@@ -222,19 +225,6 @@ def _normalise_retry(retry: "RetryPolicy | int | None") -> RetryPolicy:
     return RetryPolicy(max_attempts=1 + max(0, int(retry)))
 
 
-def _limit_worker_threads() -> None:
-    """Pin BLAS pools to one thread per worker process (best effort)."""
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    try:  # pragma: no cover - optional dependency
-        import threadpoolctl
-
-        global _THREADPOOL_LIMIT  # keep the controller alive
-        _THREADPOOL_LIMIT = threadpoolctl.threadpool_limits(1)
-    except Exception:
-        pass
-
-
 # --------------------------------------------------------------------- #
 # shared dataset cache plumbing
 # --------------------------------------------------------------------- #
@@ -344,7 +334,8 @@ def _attach_datasets_shm(specs: list[dict]) -> None:
 
 
 def _init_worker(shm_specs: list[dict] | None = None) -> None:
-    _limit_worker_threads()
+    """First call of every worker process: one BLAS thread, shared datasets."""
+    set_blas_threads(1)
     if shm_specs:
         _attach_datasets_shm(shm_specs)
 

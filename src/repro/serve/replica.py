@@ -324,15 +324,10 @@ class ProcessReplica:
         from multiprocessing import shared_memory
 
         from repro.nn.data import cached_dataset
-        from repro.runner.runner import (
-            ExperimentCell,
-            _export_datasets_shm,
-            _limit_worker_threads,
-        )
+        from repro.runner.runner import ExperimentCell, _export_datasets_shm
 
         self.replica_id = replica_id
         self.max_batch = max_batch
-        _limit_worker_threads()
         method = start_method
         if method is None:
             method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
