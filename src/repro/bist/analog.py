@@ -22,19 +22,26 @@ reliable.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.faults.types import FaultMap
-from repro.reram.cell import sample_sa0_resistances, sample_sa1_resistances
+from repro.faults.types import FaultMap, FaultType
 from repro.utils.config import CrossbarConfig
 
 __all__ = [
+    "BIST_TESTS",
     "nominal_sa1_conductance",
     "nominal_sa0_conductance",
+    "column_currents",
     "column_currents_sa1_test",
     "column_currents_sa0_test",
 ]
+
+#: the two tests of one BIST pass, in the order the FSM runs them, named by
+#: the stuck-at type each exposes: S1-S3 (all cells at "0") then S4-S6
+#: (all cells at "1").
+BIST_TESTS = (FaultType.SA1, FaultType.SA0)
 
 
 def nominal_sa1_conductance(config: CrossbarConfig) -> float:
@@ -47,27 +54,72 @@ def nominal_sa0_conductance(config: CrossbarConfig) -> float:
     return 1.0 / math.sqrt(config.r_sa0_min * config.r_sa0_max)
 
 
-def _fault_contributions(
-    fault_map: FaultMap,
+def column_currents(
+    codes: np.ndarray,
     config: CrossbarConfig,
     rng: np.random.Generator,
-    healthy_g: float,
+    tests: Sequence[FaultType] = BIST_TESTS,
+    noise_fraction: float = 0.01,
 ) -> np.ndarray:
-    """Per-column current-delta (A/V) of all stuck cells vs. healthy cells.
+    """Column currents (A) of every crossbar in ``codes`` under each test.
 
-    For every stuck cell the contribution is ``1/R_stuck - healthy_g``,
-    where ``R_stuck`` is sampled with device-to-device variation.
+    ``codes`` is a ``(crossbars, rows, cols)`` fault-code array, such as a
+    chip's ``fault_codes``.  ``tests`` lists the tests to run by the
+    stuck-at type each exposes: during the ``SA1`` test healthy cells hold
+    "0" (``g_off``), during the ``SA0`` test they hold "1" (``g_on``).
+    Every stuck cell replaces the healthy conductance with ``1/R_stuck``,
+    ``R_stuck`` drawn log-uniformly from its type's range (device-to-device
+    variation).  ``noise_fraction`` adds sensing/ADC noise as a fraction of
+    one healthy on-cell's current (sigma), modelling the CMOS read-out
+    imperfections.  Returns a ``(len(tests), crossbars, cols)`` array.
+
+    The generator is drawn exactly as testing one crossbar at a time:
+    crossbars in order; for each crossbar, each test in order; for each
+    test, the stuck resistances (SA1 cells, then SA0 cells, row-major),
+    then ``normal(0, sigma, cols)``.  NumPy's normal sampler consumes a
+    variable number of random words per sample, so only the arithmetic is
+    batched across crossbars; change the batching, never the draw order.
     """
-    delta = np.zeros(fault_map.cols, dtype=np.float64)
-    sa1_rows, sa1_cols = np.nonzero(fault_map.sa1_mask)
-    if sa1_cols.size:
-        r = sample_sa1_resistances(rng, sa1_cols.size, config)
-        np.add.at(delta, sa1_cols, 1.0 / r - healthy_g)
-    sa0_rows, sa0_cols = np.nonzero(fault_map.sa0_mask)
-    if sa0_cols.size:
-        r = sample_sa0_resistances(rng, sa0_cols.size, config)
-        np.add.at(delta, sa0_cols, 1.0 / r - healthy_g)
-    return delta
+    n, rows, cols = codes.shape
+    flat = codes.reshape(-1)
+    # Stuck cells grouped by crossbar, SA1 before SA0, row-major within
+    # each: the order one crossbar's draws and column sums visit them.
+    stuck = np.flatnonzero(flat)
+    xbar = stuck // (rows * cols)
+    is_sa1 = flat[stuck] == FaultType.SA1
+    order = np.argsort(2 * xbar + ~is_sa1, kind="stable")
+    stuck, xbar, is_sa1 = stuck[order], xbar[order], is_sa1[order]
+    per_xbar = np.bincount(xbar, minlength=n)
+    bounds = np.concatenate(([0], np.cumsum(per_xbar))).tolist()
+
+    u = np.empty((len(tests), stuck.size))
+    if noise_fraction > 0:
+        sigma = noise_fraction * config.read_voltage * config.g_on
+        noise = np.empty((len(tests), n, cols))
+    for x in range(n):
+        lo, hi = bounds[x], bounds[x + 1]
+        for t in range(len(tests)):
+            if hi > lo:
+                rng.random(out=u[t, lo:hi])
+            if noise_fraction > 0:
+                noise[t, x] = rng.normal(0.0, sigma, size=cols)
+
+    # ``Generator.uniform(lo, hi)`` is ``lo + (hi - lo) * random()``.
+    lo1, hi1 = np.log(config.r_sa1_min), np.log(config.r_sa1_max)
+    lo0, hi0 = np.log(config.r_sa0_min), np.log(config.r_sa0_max)
+    log_r = np.where(is_sa1, lo1, lo0) + np.where(is_sa1, hi1 - lo1, hi0 - lo0) * u
+    stuck_g = 1.0 / np.exp(log_r)
+    # bincount adds in array order from 0.0, as np.add.at would per crossbar.
+    bins = xbar * cols + stuck % cols
+    currents = np.empty((len(tests), n, cols))
+    for t, test in enumerate(tests):
+        healthy_g = config.g_off if test == FaultType.SA1 else config.g_on
+        delta = np.bincount(bins, weights=stuck_g[t] - healthy_g, minlength=n * cols)
+        baseline = config.rows * healthy_g
+        currents[t] = config.read_voltage * (baseline + delta.reshape(n, cols))
+        if noise_fraction > 0:
+            currents[t] = currents[t] + noise[t]
+    return currents
 
 
 def column_currents_sa1_test(
@@ -78,16 +130,11 @@ def column_currents_sa1_test(
 ) -> np.ndarray:
     """Column currents (A) observed in BIST states S1-S3 (all cells at "0").
 
-    ``noise_fraction`` adds sensing/ADC noise as a fraction of one healthy
-    on-cell's current (sigma), modelling the CMOS read-out imperfections.
+    Each SA1 cell adds a large excess current over the healthy ``g_off``.
     """
-    baseline = config.rows * config.g_off
-    delta = _fault_contributions(fault_map, config, rng, healthy_g=config.g_off)
-    currents = config.read_voltage * (baseline + delta)
-    if noise_fraction > 0:
-        sigma = noise_fraction * config.read_voltage * config.g_on
-        currents = currents + rng.normal(0.0, sigma, size=currents.shape)
-    return currents
+    return column_currents(
+        fault_map.codes[None], config, rng, (FaultType.SA1,), noise_fraction
+    )[0, 0]
 
 
 def column_currents_sa0_test(
@@ -101,10 +148,6 @@ def column_currents_sa0_test(
     Healthy cells conduct ``g_on``; every SA0 cell is missing from the sum,
     every SA1 cell adds extra current (it conducts more than ``g_on``).
     """
-    baseline = config.rows * config.g_on
-    delta = _fault_contributions(fault_map, config, rng, healthy_g=config.g_on)
-    currents = config.read_voltage * (baseline + delta)
-    if noise_fraction > 0:
-        sigma = noise_fraction * config.read_voltage * config.g_on
-        currents = currents + rng.normal(0.0, sigma, size=currents.shape)
-    return currents
+    return column_currents(
+        fault_map.codes[None], config, rng, (FaultType.SA0,), noise_fraction
+    )[0, 0]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bist.analog import (
-    column_currents_sa0_test,
-    column_currents_sa1_test,
+    BIST_TESTS,
+    column_currents,
     nominal_sa0_conductance,
     nominal_sa1_conductance,
 )
@@ -57,19 +57,16 @@ def _estimate_counts(
     return np.clip(np.rint(counts), 0, rows).astype(np.int64)
 
 
-def run_bist(
-    fault_map: FaultMap,
+def _bist_counts(
+    codes: np.ndarray,
     config: CrossbarConfig,
     rng: np.random.Generator,
-    noise_fraction: float = 0.01,
-) -> BistResult:
-    """Estimate one crossbar's SA1/SA0 counts from simulated currents.
-
-    This is the behavioural (fast) equivalent of driving the full
-    :class:`~repro.bist.fsm.BistController`; both use the same analog model.
-    """
-    sa1_curr = column_currents_sa1_test(fault_map, config, rng, noise_fraction)
-    sa0_curr = column_currents_sa0_test(fault_map, config, rng, noise_fraction)
+    noise_fraction: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimated (SA1, SA0) counts of every crossbar in ``codes``."""
+    sa1_curr, sa0_curr = column_currents(
+        codes, config, rng, BIST_TESTS, noise_fraction
+    )
     sa1_counts = _estimate_counts(
         sa1_curr,
         baseline_g=config.g_off,
@@ -94,10 +91,24 @@ def run_bist(
         read_voltage=config.read_voltage,
         rows=config.rows,
     )
+    return sa1_counts.sum(axis=1), sa0_counts.sum(axis=1)
+
+
+def run_bist(
+    fault_map: FaultMap,
+    config: CrossbarConfig,
+    rng: np.random.Generator,
+    noise_fraction: float = 0.01,
+) -> BistResult:
+    """Estimate one crossbar's SA1/SA0 counts from simulated currents.
+
+    This is the behavioural (fast) equivalent of driving the full
+    :class:`~repro.bist.fsm.BistController`; both use the same analog model,
+    and :func:`scan_chip` is the same computation over a whole chip.
+    """
+    sa1, sa0 = _bist_counts(fault_map.codes[None], config, rng, noise_fraction)
     return BistResult(
-        sa1_count=int(sa1_counts.sum()),
-        sa0_count=int(sa0_counts.sum()),
-        cells=fault_map.cells,
+        sa1_count=int(sa1[0]), sa0_count=int(sa0[0]), cells=fault_map.cells
     )
 
 
@@ -111,21 +122,20 @@ def scan_chip(
 
     All BIST modules operate in parallel (one per IMA, crossbars within an
     IMA tested back-to-back), so the wall-clock cost stays at a few hundred
-    ReRAM cycles per epoch regardless of chip size.  With a ``telemetry``
-    sink, one ``bist_scan_detail`` event summarises the scan (crossbars
-    tested plus the estimated stuck-at totals).
+    ReRAM cycles per epoch regardless of chip size.  The simulation runs
+    over each chip's fault array at once (a fleet's members in crossbar
+    order) and draws the generator exactly as :func:`run_bist` on every
+    crossbar in turn would.  With a ``telemetry`` sink, one
+    ``bist_scan_detail`` event summarises the scan (crossbars tested plus
+    the estimated stuck-at totals).
     """
-    densities = np.empty(chip.num_crossbars, dtype=np.float64)
-    sa0_total = 0
-    sa1_total = 0
-    for xb in chip.crossbars:
-        # Fast path: a crossbar with no faults and low noise almost always
-        # reads zero counts; still run the estimator so sensing noise can
-        # produce (realistic) small false positives.
-        result = run_bist(xb.fault_map, xb.config, rng, noise_fraction)
-        densities[xb.xbar_id] = result.density
-        sa0_total += result.sa0_count
-        sa1_total += result.sa1_count
+    densities, sa1_total, sa0_total = [], 0, 0
+    for member in getattr(chip, "chips", None) or [chip]:
+        config = member.config.crossbar
+        sa1, sa0 = _bist_counts(member.fault_codes, config, rng, noise_fraction)
+        densities.append((sa1 + sa0) / config.cells)
+        sa1_total += int(sa1.sum())
+        sa0_total += int(sa0.sum())
     if telemetry is not None:
         telemetry.event(
             "bist_scan_detail",
@@ -134,15 +144,10 @@ def scan_chip(
             sa1_est=sa1_total,
         )
         telemetry.count("bist.crossbars_scanned", chip.num_crossbars)
-    return densities
+    return np.concatenate(densities)
 
 
 def pair_density_estimates(chip, crossbar_densities: np.ndarray) -> np.ndarray:
     """Fold per-crossbar density estimates into per-pair estimates."""
-    out = np.empty(chip.num_pairs, dtype=np.float64)
-    for pair in chip.pairs:
-        pos_id, neg_id = pair.crossbar_ids()
-        out[pair.pair_id] = 0.5 * (
-            crossbar_densities[pos_id] + crossbar_densities[neg_id]
-        )
-    return out
+    d = crossbar_densities[chip.pair_crossbars]
+    return 0.5 * (d[:, 0] + d[:, 1])

@@ -292,11 +292,15 @@ class RemapDPolicy(Policy):
         # the whole run — mapping the critical tasks around the known
         # manufacturing faults at t=0 costs nothing extra (the same BIST
         # pass the training loop runs each epoch) and subsumes the static
-        # baseline.
+        # baseline.  The scan is timed and attributed like an epoch-end
+        # scan, but the ``bist_scans`` counter stays epoch-end only.
         from repro.bist.density import pair_density_estimates, scan_chip
 
-        densities = scan_chip(ctx.chip, ctx.rng_hub.stream("bist-setup"))
-        ctx.pair_density_est = pair_density_estimates(ctx.chip, densities)
+        with ctx.telemetry.span("bist_scan", epoch=-1):
+            densities = scan_chip(
+                ctx.chip, ctx.rng_hub.stream("bist-setup"), telemetry=ctx.telemetry
+            )
+            ctx.pair_density_est = pair_density_estimates(ctx.chip, densities)
         self._remap_pass(ctx, epoch=-1)
 
     def _remap_pass(self, ctx, epoch: int) -> None:

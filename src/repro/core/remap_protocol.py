@@ -124,100 +124,111 @@ class RemapProtocol:
         pairs hosting no task; they participate as (preferred) receivers.
         """
         plan = RemapPlan(epoch=epoch)
-        senders = [
-            t for t in tasks
-            if pair_density[t.pair_id] > self.threshold
-            and (not self.phase_priority or t.tolerance_rank == 0)
-        ]
-        if not senders:
+        chip = self.chip
+        pair_density = np.asarray(pair_density, dtype=np.float64)
+        pairs = np.fromiter((t.pair_id for t in tasks), np.int64, len(tasks))
+        ranks = np.fromiter((t.tolerance_rank for t in tasks), np.int64, len(tasks))
+        density = pair_density[pairs]
+        is_sender = density > self.threshold
+        if self.phase_priority:
+            is_sender &= ranks == 0
+        if not is_sender.any():
             return plan
         # Most-faulty senders are served first (they have the most to gain
         # and the fewest viable receivers).
-        senders.sort(key=lambda t: (-pair_density[t.pair_id], t.pair_id))
-        sender_ids = {id(t) for t in senders}
-        receivers: list[Task | IdleSlot] = [
-            t for t in tasks if id(t) not in sender_ids
-        ]
-        receivers.extend(IdleSlot(pid) for pid in (idle_pairs or []))
+        senders = np.flatnonzero(is_sender)
+        senders = senders[np.lexsort((pairs[senders], -density[senders]))]
 
-        used_receivers: set[int] = set()
-        for sender in senders:
-            s_density = float(pair_density[sender.pair_id])
-            s_tile = self.chip.tile_of_pair(sender.pair_id)
-            candidates = []
-            settled = []  # receivers below the trigger threshold
-            for r in receivers:
-                if id(r) in used_receivers:
-                    continue
-                r_density = float(pair_density[r.pair_id])
-                if self.require_lower_density and r_density >= s_density:
-                    continue
-                if self.phase_priority and r.tolerance_rank <= sender.tolerance_rank:
-                    continue
-                candidates.append((r, r_density))
-                if r_density <= self.threshold:
-                    settled.append((r, r_density))
+        # The receivers, once: non-sender tasks in task order, then the
+        # idle pairs.
+        keep = np.flatnonzero(~is_sender)
+        idle = np.asarray(idle_pairs or [], dtype=np.int64)
+        receivers: list[Task | IdleSlot] = [tasks[i] for i in keep]
+        receivers.extend(IdleSlot(int(pid)) for pid in idle)
+        r_pair = np.concatenate([pairs[keep], idle])
+        r_density = pair_density[r_pair]
+        r_rank = np.concatenate(
+            [ranks[keep], np.full(idle.size, IdleSlot.tolerance_rank)]
+        )
+        r_is_task = np.arange(r_pair.size) < keep.size
+        local = r_pair - chip.pair_base
+        if local.size and (local.min() < 0 or local.max() >= chip.num_pairs):
+            raise IndexError(f"a receiver pair is not on chip {chip.chip_id}")
+        r_tile = chip.pair_tiles[local]
+        r_coords = chip.tile_coords[r_tile - chip.tile_base]
+        available = np.ones(r_pair.size, dtype=bool)
+
+        for i in senders:
+            s_density = float(density[i])
+            s_tile = chip.tile_of_pair(int(pairs[i]))
+            ok = available.copy()
+            if self.require_lower_density:
+                ok &= ~(r_density >= s_density)
+            if self.phase_priority:
+                ok &= r_rank > ranks[i]
             # Hysteresis: prefer receivers *below the trigger threshold* so
             # a remapped task settles there and never re-triggers ("to
             # prevent frequent remapping" — Section III.B.4).  Hopping to
             # a merely-lower-density pair every epoch would smear fault
             # damage over fresh weight positions at each hop.
-            if settled:
-                candidates = settled
-            if not candidates:
+            settled = ok & (r_density <= self.threshold)
+            candidates = np.flatnonzero(settled if settled.any() else ok)
+            if not candidates.size:
                 continue
-            chosen, r_density = self._choose(s_tile, candidates)
-            r_tile = self.chip.tile_of_pair(chosen.pair_id)
-            hops = self.chip.hop_count(s_tile, r_tile)
-            used_receivers.add(id(chosen))
+            s_coords = chip.tile_coords[s_tile - chip.tile_base]
+            hops = np.abs(r_coords[candidates] - s_coords).sum(axis=1)
+            j = candidates[
+                self._choose(
+                    r_is_task[candidates],
+                    hops,
+                    r_density[candidates],
+                    r_pair[candidates],
+                )
+            ]
+            available[j] = False
+            receiver_tile = int(r_tile[j])
             plan.decisions.append(
                 RemapDecision(
-                    sender=sender,
-                    receiver=chosen,
+                    sender=tasks[i],
+                    receiver=receivers[j],
                     sender_tile=s_tile,
-                    receiver_tile=r_tile,
-                    hops=hops,
+                    receiver_tile=receiver_tile,
+                    hops=chip.hop_count(s_tile, receiver_tile),
                     sender_density=s_density,
-                    receiver_density=r_density,
+                    receiver_density=float(r_density[j]),
                 )
             )
             if s_tile not in plan.sender_tiles:
                 plan.sender_tiles.append(s_tile)
-            responding_tiles = sorted(
-                {self.chip.tile_of_pair(r.pair_id) for r, _ in candidates}
+            plan.responders.setdefault(
+                s_tile, np.unique(r_tile[candidates]).tolist()
             )
-            plan.responders.setdefault(s_tile, responding_tiles)
-            plan.matches[s_tile] = r_tile
+            plan.matches[s_tile] = receiver_tile
         return plan
 
     def _choose(
-        self, sender_tile: int, candidates: list[tuple["Task | IdleSlot", float]]
-    ) -> tuple["Task | IdleSlot", float]:
+        self,
+        is_task: np.ndarray,
+        hops: np.ndarray,
+        density: np.ndarray,
+        pair: np.ndarray,
+    ) -> int:
         """Pick the receiver according to the configured rule.
 
-        Idle crossbar pairs always outrank task-hosting receivers: an
-        exchange with a working forward task pushes the sender's faults
-        onto that task, while a move to an idle pair harms nothing.  Among
-        receivers of the same kind, proximity (NoC hop count) decides, as
-        in Fig. 3.
+        The arrays describe the candidates in receiver order; the return
+        value is the chosen one's position.  Idle crossbar pairs always
+        outrank task-hosting receivers: an exchange with a working forward
+        task pushes the sender's faults onto that task, while a move to an
+        idle pair harms nothing.  Among receivers of the same kind,
+        proximity (NoC hop count) decides, as in Fig. 3; remaining ties go
+        to the lower density, then the lower pair id, then the earlier
+        receiver.
         """
         if self.receiver_rule == "nearest":
-            return min(
-                candidates,
-                key=lambda c: (
-                    isinstance(c[0], Task),
-                    self.chip.hop_count(sender_tile, self.chip.tile_of_pair(c[0].pair_id)),
-                    c[1],
-                    c[0].pair_id,
-                ),
-            )
+            return int(np.lexsort((pair, density, hops, is_task))[0])
         if self.receiver_rule == "lowest-density":
-            return min(
-                candidates,
-                key=lambda c: (isinstance(c[0], Task), c[1], c[0].pair_id),
-            )
-        index = int(self.rng.integers(0, len(candidates)))
-        return candidates[index]
+            return int(np.lexsort((pair, density, is_task))[0])
+        return int(self.rng.integers(0, len(pair)))
 
     # ------------------------------------------------------------------ #
     def execute(self, plan: RemapPlan) -> int:

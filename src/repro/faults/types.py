@@ -38,14 +38,31 @@ class FaultMap:
     injecting a new fault on an already-faulty cell is a no-op (the first
     permanent failure wins), which mirrors physical behaviour and keeps
     densities monotone over time.
+
+    ``codes`` wraps an existing ``(rows, cols)`` ``uint8`` array instead of
+    allocating one: a :class:`~repro.reram.chip.Chip` hands each crossbar
+    its slice of one chip-wide fault array, so every write through the
+    map lands in that array.  Mutators write in place and never rebind
+    ``codes``.
     """
 
-    def __init__(self, rows: int, cols: int):
+    def __init__(self, rows: int, cols: int, codes: np.ndarray | None = None):
         if rows <= 0 or cols <= 0:
             raise ValueError("FaultMap dimensions must be positive")
         self.rows = int(rows)
         self.cols = int(cols)
-        self.codes = np.zeros((self.rows, self.cols), dtype=np.uint8)
+        if codes is None:
+            codes = np.zeros((self.rows, self.cols), dtype=np.uint8)
+        elif (
+            codes.shape != (self.rows, self.cols)
+            or codes.dtype != np.uint8
+            or not codes.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"codes must be a C-contiguous ({self.rows}, {self.cols}) "
+                f"uint8 array, got {codes.shape} {codes.dtype}"
+            )
+        self.codes = codes
 
     # ------------------------------------------------------------------ #
     # injection
@@ -53,8 +70,8 @@ class FaultMap:
     def inject(self, flat_indices: np.ndarray, fault_type: FaultType) -> int:
         """Mark the given flat cell indices as stuck with ``fault_type``.
 
-        Returns the number of cells that actually became newly faulty
-        (already-stuck cells are skipped).
+        Returns the number of distinct cells that actually became newly
+        faulty (already-stuck cells and repeated indices are skipped).
         """
         if fault_type == FaultType.NONE:
             raise ValueError("cannot inject FaultType.NONE")
@@ -64,10 +81,12 @@ class FaultMap:
         if flat_indices.min() < 0 or flat_indices.max() >= self.codes.size:
             raise IndexError("fault cell index out of range")
         flat = self.codes.ravel()
-        fresh = flat[flat_indices] == FaultType.NONE
-        targets = flat_indices[fresh]
-        flat[targets] = np.uint8(fault_type)
-        return int(targets.size)
+        before = np.count_nonzero(flat)
+        fresh = flat_indices[flat[flat_indices] == FaultType.NONE]
+        flat[fresh] = np.uint8(fault_type)
+        # Only healthy cells were written, so the growth of the stuck
+        # count is the number of distinct newly stuck cells.
+        return int(np.count_nonzero(flat) - before)
 
     def inject_cells(
         self, rows: np.ndarray, cols: np.ndarray, fault_type: FaultType
@@ -124,9 +143,8 @@ class FaultMap:
     # manipulation
     # ------------------------------------------------------------------ #
     def copy(self) -> "FaultMap":
-        clone = FaultMap(self.rows, self.cols)
-        clone.codes = self.codes.copy()
-        return clone
+        """A detached map: later writes to either map leave the other alone."""
+        return FaultMap(self.rows, self.cols, codes=self.codes.copy())
 
     def clear(self) -> None:
         """Reset to a fault-free array (used by repaired/spare hardware)."""

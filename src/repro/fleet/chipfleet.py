@@ -112,6 +112,14 @@ class ChipFleet:
             xb for c in self.chips for xb in c.crossbars
         ]
         self.pairs: list[CrossbarPair] = [p for c in self.chips for p in c.pairs]
+        # The members' static pair layouts, fleet-wide.  Each member keeps
+        # its own fault array; crossbar positions shift by the member's
+        # base, which equals its offset in ``crossbars``.
+        self.pair_ids = np.concatenate([c.pair_ids for c in self.chips])
+        self.pair_tiles = np.concatenate([c.pair_tiles for c in self.chips])
+        self.pair_crossbars = np.concatenate(
+            [c.pair_crossbars + c.crossbar_base for c in self.chips]
+        )
         self._pair_bases = [c.pair_base for c in self.chips]
         self._tile_bases = [c.tile_base for c in self.chips]
 
@@ -352,11 +360,16 @@ class ChipFleet:
     # ------------------------------------------------------------------ #
     # densities
     # ------------------------------------------------------------------ #
+    def crossbar_fault_counts(self, fault_type=None) -> np.ndarray:
+        return np.concatenate(
+            [c.crossbar_fault_counts(fault_type) for c in self.chips]
+        )
+
     def true_pair_densities(self) -> np.ndarray:
-        return np.array([p.density for p in self.pairs])
+        return np.concatenate([c.true_pair_densities() for c in self.chips])
 
     def true_crossbar_densities(self) -> np.ndarray:
-        return np.array([xb.density for xb in self.crossbars])
+        return np.concatenate([c.true_crossbar_densities() for c in self.chips])
 
     def __repr__(self) -> str:
         return (

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.faults.endurance import WearTracker
-from repro.faults.types import FaultMap
+from repro.faults.types import FaultMap, FaultType
 from repro.reram.crossbar import Crossbar, CrossbarPair
 from repro.reram.ima import IMA
 from repro.reram.mapping import LayerCopyMapping, blocks_needed
@@ -121,6 +121,14 @@ class Chip:
     # ------------------------------------------------------------------ #
     def _build(self) -> None:
         cfg = self.config
+        #: the chip's whole fault state: one ``(crossbars, rows, cols)``
+        #: code array in crossbar order.  Each crossbar's FaultMap wraps its
+        #: slice, so injections land here and the epoch-end consumers
+        #: (BIST scan, health, true densities) read every crossbar at once.
+        self.fault_codes = np.zeros(
+            (cfg.num_crossbars, cfg.crossbar.rows, cfg.crossbar.cols),
+            dtype=np.uint8,
+        )
         xbar_id = self.crossbar_base
         ima_id = 0
         pair_id = self.pair_base
@@ -130,7 +138,11 @@ class Chip:
             imas: list[IMA] = []
             for _ in range(cfg.imas_per_tile):
                 xbars = [
-                    Crossbar(xbar_id + k, cfg.crossbar)
+                    Crossbar(
+                        xbar_id + k,
+                        cfg.crossbar,
+                        codes=self.fault_codes[xbar_id + k - self.crossbar_base],
+                    )
                     for k in range(cfg.crossbars_per_ima)
                 ]
                 xbar_id += len(xbars)
@@ -144,6 +156,19 @@ class Chip:
                     )
                     pair_id += 1
             self.tiles.append(Tile(tile_id, imas, router_id))
+        # Static pair layout for the array-at-a-time consumers (chips never
+        # grow): global pair and tile ids, and each pair's (G+, G-)
+        # positions in ``crossbars`` / ``fault_codes``.
+        self.pair_ids = np.array([p.pair_id for p in self.pairs], dtype=np.int64)
+        self.pair_tiles = np.array([p.tile_id for p in self.pairs], dtype=np.int64)
+        self.pair_crossbars = (
+            np.array([p.crossbar_ids() for p in self.pairs], dtype=np.int64)
+            - self.crossbar_base
+        )
+        #: mesh (row, col) of every tile's router, in tile order.
+        self.tile_coords = np.array(
+            [self.router_coords(t.router_id) for t in self.tiles], dtype=np.int64
+        )
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -365,12 +390,20 @@ class Chip:
     # ------------------------------------------------------------------ #
     # densities
     # ------------------------------------------------------------------ #
+    def crossbar_fault_counts(self, fault_type: FaultType | None = None) -> np.ndarray:
+        """Stuck cells per crossbar (optionally of one type), in crossbar order."""
+        codes = self.fault_codes.reshape(self.num_crossbars, -1)
+        if fault_type is not None:
+            codes = codes == fault_type
+        return np.count_nonzero(codes, axis=1)
+
     def true_pair_densities(self) -> np.ndarray:
         """Ground-truth fault density per pair (testing/analysis only)."""
-        return np.array([p.density for p in self.pairs])
+        d = self.true_crossbar_densities()[self.pair_crossbars]
+        return 0.5 * (d[:, 0] + d[:, 1])
 
     def true_crossbar_densities(self) -> np.ndarray:
-        return np.array([xb.density for xb in self.crossbars])
+        return self.crossbar_fault_counts() / self.config.crossbar.cells
 
     def __repr__(self) -> str:
         return (

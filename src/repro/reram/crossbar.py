@@ -27,12 +27,17 @@ class Crossbar:
         Global physical id on the chip.
     config:
         Electrical/geometric parameters.
+    codes:
+        This crossbar's ``(rows, cols)`` slice of the owning chip's fault
+        array; a standalone crossbar allocates its own.
     """
 
-    def __init__(self, xbar_id: int, config: CrossbarConfig):
+    def __init__(
+        self, xbar_id: int, config: CrossbarConfig, codes: np.ndarray | None = None
+    ):
         self.xbar_id = int(xbar_id)
         self.config = config
-        self.fault_map = FaultMap(config.rows, config.cols)
+        self.fault_map = FaultMap(config.rows, config.cols, codes=codes)
         #: fractional conductances in [0, 1] the programmer attempted to store.
         self.programmed = np.zeros((config.rows, config.cols), dtype=np.float64)
         #: number of full-array write (programming) operations performed.

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.faults.types import FaultType
 from repro.telemetry import Telemetry
 
@@ -47,30 +49,34 @@ def chip_health(chip) -> dict[str, Any]:
     Ground-truth accounting for analysis and the ``health_sample`` event —
     the *policies* still only ever see BIST estimates.
     """
-    occupied: set[int] = set()
-    for mapping in chip.mappings:
-        occupied.update(int(p) for p in mapping.pair_ids.ravel())
+    mappings = chip.mappings
+    occupied = (
+        np.concatenate([m.pair_ids.ravel() for m in mappings])
+        if mappings
+        else np.empty(0, dtype=np.int64)
+    )
+    idle = ~np.isin(chip.pair_ids, occupied)
+    sa0 = chip.crossbar_fault_counts(FaultType.SA0)[chip.pair_crossbars].sum(axis=1)
+    sa1 = chip.crossbar_fault_counts(FaultType.SA1)[chip.pair_crossbars].sum(axis=1)
+    tile_ids, tile_of_pair = np.unique(chip.pair_tiles, return_inverse=True)
 
-    tiles: dict[int, dict[str, Any]] = {}
-    for pair in chip.pairs:
-        tile = tiles.get(pair.tile_id)
-        if tile is None:
-            tile = tiles[pair.tile_id] = {
-                "tile": pair.tile_id, "cells": 0, "faulty": 0,
-                "sa0": 0, "sa1": 0, "quarantined": 0,
-            }
-        idle = pair.pair_id not in occupied
-        for xb in (pair.pos, pair.neg):
-            fmap = xb.fault_map
-            sa0 = fmap.count(FaultType.SA0)
-            sa1 = fmap.count(FaultType.SA1)
-            tile["cells"] += fmap.cells
-            tile["sa0"] += sa0
-            tile["sa1"] += sa1
-            tile["faulty"] += sa0 + sa1
-            if idle:
-                tile["quarantined"] += sa0 + sa1
-    tile_rows = [tiles[t] for t in sorted(tiles)]
+    def per_tile(per_pair: np.ndarray) -> list[int]:
+        out = np.zeros(tile_ids.size, dtype=np.int64)
+        np.add.at(out, tile_of_pair, per_pair)
+        return out.tolist()
+
+    pair_cells = np.full(chip.num_pairs, 2 * chip.config.crossbar.cells)
+    tile_rows = [
+        {"tile": t, "cells": c, "faulty": a + b, "sa0": a, "sa1": b,
+         "quarantined": q}
+        for t, c, a, b, q in zip(
+            tile_ids.tolist(),
+            per_tile(pair_cells),
+            per_tile(sa0),
+            per_tile(sa1),
+            per_tile(np.where(idle, sa0 + sa1, 0)),
+        )
+    ]
     for row in tile_rows:
         row["density"] = row["faulty"] / row["cells"] if row["cells"] else 0.0
     cells = sum(t["cells"] for t in tile_rows)
@@ -93,6 +99,7 @@ def chip_health(chip) -> dict[str, Any]:
         # summary row per member.  ``free_pairs`` uses the *global*
         # occupancy — a pair hosting an evicted foreign task is busy even
         # though its own chip's mappings never mention it.
+        busy = set(occupied.tolist())
         for row in tile_rows:
             row["chip"] = chip.chip_of_tile(row["tile"]).chip_id
         chip_rows = []
@@ -110,7 +117,7 @@ def chip_health(chip) -> dict[str, Any]:
                 "density": c_faulty / c_cells if c_cells else 0.0,
                 "quarantined": sum(r["quarantined"] for r in rows),
                 "pairs": member.num_pairs,
-                "free_pairs": len(member.idle_pair_ids(occupied)),
+                "free_pairs": len(member.idle_pair_ids(busy)),
             })
         health["chips"] = chip_rows
         health["evictions"] = chip.evictions

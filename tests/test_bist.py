@@ -49,8 +49,7 @@ class TestAnalogModel:
             if k:
                 fm.inject_cells(np.arange(k), np.zeros(k, dtype=int), FaultType.SA1)
             samples = [
-                column_currents_sa1_test(fm, rng, noise_fraction=0.0, config=xbar_config)[0]
-                if False else column_currents_sa1_test(fm, xbar_config, rng, 0.0)[0]
+                column_currents_sa1_test(fm, xbar_config, rng, 0.0)[0]
                 for _ in range(20)
             ]
             means.append((min(samples), max(samples)))

@@ -41,6 +41,15 @@ class TestInjection:
         fm = FaultMap(4, 4)
         assert fm.inject(np.array([], dtype=np.int64), FaultType.SA0) == 0
 
+    def test_repeated_indices_count_once(self):
+        fm = FaultMap(4, 4)
+        assert fm.inject(np.array([5, 5]), FaultType.SA0) == 1
+        assert fm.count() == 1
+        assert fm.inject_cells(
+            np.array([2, 2, 3]), np.array([1, 1, 0]), FaultType.SA1
+        ) == 2
+        assert fm.count() == 3
+
 
 class TestQueries:
     def test_column_counts(self):

@@ -378,6 +378,23 @@ class TestExperimentIntegration:
         assert tel.counters["bist_scans"] == 2
         assert result.telemetry["counters"] == tel.counters
 
+    def test_deployment_scan_is_attributed(self, run):
+        """Remap-D's deployment scan is a ``bist_scan`` span (epoch -1)
+        inside ``build_experiment`` and reports its detail like an epoch-end
+        scan; the ``bist_scans`` counter and event stay epoch-end only."""
+        tel, _ = run
+        spans = {e["payload"]["span_id"]: e["payload"] for e in tel.filter("span")}
+        scans = [s for s in spans.values() if s["name"] == "bist_scan"]
+        assert [s["epoch"] for s in scans] == [-1, 0, 1]
+        assert spans[scans[0]["parent_id"]]["name"] == "build_experiment"
+        details = tel.filter("bist_scan_detail")
+        assert len(details) == 3
+        assert tel.counters["bist.crossbars_scanned"] == sum(
+            d["payload"]["crossbars"] for d in details
+        )
+        assert tel.counters["bist_scans"] == 2
+        assert [e["payload"]["epoch"] for e in tel.filter("bist_scan")] == [0, 1]
+
     def test_expected_event_kinds_present(self, run):
         tel, _ = run
         kinds = {e["kind"] for e in tel.events}
