@@ -32,28 +32,28 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # im2col / col2im
 # --------------------------------------------------------------------- #
-#: reusable scratch arrays for temporaries that die inside one op (the
-#: im2col gather, inference-mode patch matrices, the max-pool backward
-#: window), keyed by (tag, shape, dtype).  Conv layers hit the same
-#: handful of shapes every batch, so the pool stays small while
-#: eliminating the largest per-batch allocations.  The pool is *per
-#: thread*: the serving plane runs one forward per replica thread
-#: concurrently, and identical shapes on two threads must never share a
-#: buffer (the parallel benchmark runner forks whole processes, each
-#: with its own pools).
+#: reusable scratch memory for temporaries that die inside one op (the
+#: im2col pad block, inference-mode patch matrices): one grow-only flat
+#: buffer per (tag, dtype), handed out as views, so each tag holds only
+#: its largest request.  The pool is *per thread*: serving replica
+#: threads run forwards concurrently and must never share a buffer.
 _SCRATCH_TLS = threading.local()
+#: patch-matrix bytes built or folded per block of images: each of the
+#: kh*kw slab copies touches every cache line of the block, so a block
+#: that stays in cache goes to memory once, not kh*kw times.
+_BLOCK_BYTES = 1 << 20
 
 
 def _scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     pool = getattr(_SCRATCH_TLS, "pool", None)
     if pool is None:
         pool = _SCRATCH_TLS.pool = {}
-    key = (tag, shape, np.dtype(dtype).str)
+    key = (tag, np.dtype(dtype).str)
+    size = int(np.prod(shape))
     buf = pool.get(key)
-    if buf is None:
-        buf = np.empty(shape, dtype=dtype)
-        pool[key] = buf
-    return buf
+    if buf is None or buf.size < size:
+        buf = pool[key] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -72,44 +72,36 @@ def im2col(
     """Unfold ``(N, C, H, W)`` into ``(N*OH*OW, C*KH*KW)`` patch rows.
 
     Returns ``(cols, OH, OW)``.  Row ordering is (n, oh, ow), column
-    ordering is (c, kh, kw) — matching ``weight.reshape(out, -1)``.
+    ordering is (c, kh, kw) — matching ``weight.reshape(out, -1)``.  Runs
+    in NHWC, the memory order of conv outputs and the activations that
+    keep it: per block of images, a zero-padded NHWC copy, then one slab
+    copy per kernel offset (i, j).
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
-    if pad > 0:
-        # Arena-backed padded buffer: edge strips are zero-filled and the
-        # interior overwritten, producing exactly what np.pad would —
-        # without a fresh allocation per call inside a training step.
-        hp, wp = h + 2 * pad, w + 2 * pad
-        padded = step_arena().take((n, c, hp, wp), x.dtype)
-        padded[:, :, :pad, :].fill(0.0)
-        padded[:, :, hp - pad:, :].fill(0.0)
-        padded[:, :, pad:hp - pad, :pad].fill(0.0)
-        padded[:, :, pad:hp - pad, wp - pad:].fill(0.0)
-        padded[:, :, pad:hp - pad, pad:wp - pad] = x
-        x = padded
-    # The 6-D gather buffer never escapes this function, so it comes from
-    # the scratch pool.  The returned patch matrix is captured by autograd
-    # closures while a graph is being built, so it comes from the step
-    # arena: distinct within a step, recycled across steps (backward
-    # always completes before the next forward).  In inference mode
-    # (no_grad) nothing outlives the layer's matmul, so it comes from the
-    # scratch pool too.
-    cols = _scratch("im2col", (n, c, kh, kw, oh, ow), x.dtype)
-    for i in range(kh):
-        i_end = i + stride * oh
-        for j in range(kw):
-            j_end = j + stride * ow
-            cols[:, :, i, j, :, :] = x[:, :, i:i_end:stride, j:j_end:stride]
+    # Autograd closures capture the patch matrix, so it comes from the
+    # step arena (recycled once backward is done).  In inference mode
+    # (no_grad) it dies with the layer's matmul, so it comes from the
+    # scratch pool, as the pad block, which dies inside this call, does.
     out_shape = (n * oh * ow, c * kh * kw)
     if is_grad_enabled():
         out = step_arena().take(out_shape, x.dtype)
     else:
         out = _scratch("im2col_out", out_shape, x.dtype)
-    np.copyto(
-        out.reshape(n, oh, ow, c, kh, kw), cols.transpose(0, 4, 5, 1, 2, 3)
-    )
+    o6 = out.reshape(n, oh, ow, c, kh, kw)
+    sh, sw = stride * oh, stride * ow
+    step = max(1, _BLOCK_BYTES // out[:oh * ow].nbytes)
+    for lo in range(0, n, step):
+        xb = x[lo:lo + step].transpose(0, 2, 3, 1)
+        if pad > 0:
+            xp = _scratch("im2col_pad", (len(xb), h + 2 * pad, w + 2 * pad, c), x.dtype)
+            xp.fill(0.0)
+            xp[:, pad:pad + h, pad:pad + w] = xb
+            xb = xp
+        for i in range(kh):
+            for j in range(kw):
+                o6[lo:lo + step, ..., i, j] = xb[:, i:i + sh:stride, j:j + sw:stride]
     return out, oh, ow
 
 
@@ -123,24 +115,25 @@ def col2im(
 ) -> np.ndarray:
     """Fold patch-row gradients back onto the input (adjoint of im2col).
 
-    The result is (a view of) a step-arena buffer: inside a training step
-    it is recycled at the next ``reset()``, so callers consume it
-    immediately (``Tensor.accumulate_grad`` copies or adds on the spot).
+    Adds into an NHWC step-arena buffer, kernel offsets in (i, j) order,
+    and returns an ``(N, C, H, W)`` view of its interior.  Nothing else
+    holds the buffer, so callers may donate the view to
+    ``Tensor.accumulate_grad``; it is recycled at the next ``reset()``.
     """
     n, c, h, w = x_shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    x_padded = step_arena().take((n, c, h + 2 * pad, w + 2 * pad), cols.dtype)
-    x_padded.fill(0.0)
-    for i in range(kh):
-        i_end = i + stride * oh
-        for j in range(kw):
-            j_end = j + stride * ow
-            x_padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j, :, :]
-    if pad > 0:
-        return x_padded[:, :, pad:-pad, pad:-pad]
-    return x_padded
+    d6 = cols.reshape(n, oh, ow, c, kh, kw)
+    xp = step_arena().take((n, h + 2 * pad, w + 2 * pad, c), cols.dtype)
+    sh, sw = stride * oh, stride * ow
+    step = max(1, _BLOCK_BYTES // cols[:oh * ow].nbytes)
+    for lo in range(0, n, step):
+        xb = xp[lo:lo + step]
+        xb.fill(0.0)
+        for i in range(kh):
+            for j in range(kw):
+                xb[:, i:i + sh:stride, j:j + sw:stride] += d6[lo:lo + step, ..., i, j]
+    return xp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
 
 # --------------------------------------------------------------------- #
@@ -185,17 +178,15 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
     def bwd(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        # Scratch-pool window buffer: consumed immediately by the reshape
-        # copy below, so reuse across batches is safe.
-        gflat = _scratch("maxpool_bwd", flat.shape, flat.dtype)
-        gflat.fill(0.0)
-        np.put_along_axis(gflat, arg[..., None], grad[..., None], axis=-1)
-        gx = (
-            gflat.reshape(n, c, oh, ow, kernel, kernel)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
-        x.accumulate_grad(gx)
+        # Scatter each window's gradient to its argmax, one window offset
+        # at a time, straight into an arena buffer that is then donated.
+        gx = step_arena().take((n, c, h, w), grad.dtype)
+        gx.fill(0.0)
+        g6 = gx.reshape(n, c, oh, kernel, ow, kernel)
+        for p in range(kernel * kernel):
+            i, j = divmod(p, kernel)
+            np.copyto(g6[:, :, :, i, :, j], grad, where=arg == p)
+        x.accumulate_grad(gx, donate=True)
 
     return Tensor(out_data, parents=(x,), backward=bwd)
 

@@ -219,8 +219,12 @@ class Conv2d(Module):
 
         def bwd(grad: np.ndarray) -> None:
             co = self.out_channels
-            gy = arena.take((n * oh * ow, co), grad.dtype)
-            np.copyto(gy.reshape(n, oh, ow, co), grad.transpose(0, 2, 3, 1))
+            # A gradient in the output's NHWC memory order (batch norm
+            # writes one) is the GEMM operand as it stands.
+            gy = grad.transpose(0, 2, 3, 1)
+            if not gy.flags.c_contiguous:
+                gy = arena.copy_of(gy)
+            gy = gy.reshape(n * oh * ow, co)
             dw2d = arena.take((co, cols.shape[1]), cols.dtype)
             np.matmul(gy.T, cols, out=dw2d)
             if self.engine is not None:
@@ -231,7 +235,8 @@ class Conv2d(Module):
             if x.requires_grad and not x.skip_grad:
                 dcols = arena.take(cols.shape, cols.dtype)
                 np.matmul(gy, w_bwd, out=dcols)
-                x.accumulate_grad(F.col2im(dcols, x_shape, ks, ks, st, pd))
+                dx = F.col2im(dcols, x_shape, ks, ks, st, pd)
+                x.accumulate_grad(dx, donate=True)
 
         if tel is not None:
             key = self.layer_key
@@ -380,8 +385,8 @@ class BatchNorm2d(Module):
 
         The normalisation temporaries use ``take_like`` buffers that
         mirror the activation view's memory layout (reductions are
-        iteration-order sensitive), while the backward temporaries are
-        C-contiguous like the incoming gradient.
+        iteration-order sensitive), as does the elementwise input gradient;
+        the backward reduces over C-contiguous buffers like its input.
         """
         axes = (0, 2, 3)
         arena = step_arena()
@@ -414,10 +419,12 @@ class BatchNorm2d(Module):
                 return
             mean_g = grad.mean(axis=axes, keepdims=True)
             mean_gx = t.mean(axis=axes, keepdims=True)
-            v = arena.take(grad.shape, grad.dtype)
-            np.subtract(grad, mean_g, out=v)
-            np.multiply(xhat, mean_gx, out=t)
-            np.subtract(v, t, out=v)
+            # (grad - mean_g) - xhat * mean_gx: each term in its operands'
+            # layout, so only the last subtraction mixes the two orders.
+            v = arena.take_like(xd)
+            np.multiply(xhat, mean_gx, out=v)
+            np.subtract(grad, mean_g, out=t)
+            np.subtract(t, v, out=v)
             np.multiply(gamma.data[None, :, None, None] / std4, v, out=v)
             x.accumulate_grad(v, donate=True)
 

@@ -164,6 +164,12 @@ class BufferArena:
         key = (a.shape, a.strides, np.dtype(a.dtype).str)
         return self._grant(key, a.shape, a.dtype, a)
 
+    def copy_of(self, a: np.ndarray) -> np.ndarray:
+        """A C-contiguous buffer holding ``a``'s values."""
+        buf = self.take(a.shape, a.dtype)
+        np.copyto(buf, a)
+        return buf
+
     def _grant(self, key, shape, dtype, like) -> np.ndarray:
         pool = self._pools.get(key)
         if pool is None:
@@ -245,23 +251,18 @@ class Tensor:
         """Add an incoming gradient contribution (creating storage lazily).
 
         ``donate=True`` transfers ownership of ``grad`` to this tensor
-        when it is the first contribution — callers holding a contiguous
-        buffer nothing else will touch (the layer backwards) use it
-        to skip the defensive copy.  Donated buffers must match the
-        layout a fresh ``grad.copy()`` would have produced (C-contiguous)
-        so downstream reductions see identical memory order.
+        when it is the first contribution, skipping the C-contiguous copy.
+        A donated gradient may keep the activation's memory order (as
+        ``col2im``'s NHWC view) when all its consumers are elementwise
+        (ReLU, max pooling, ``+=``); one that reaches a reduction (batch
+        norm's ``sum``/``mean``, ``_unbroadcast``) stays C-contiguous.
         """
         if grad.shape != self.data.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} does not match tensor {self.data.shape}"
             )
         if self.grad is None:
-            if donate:
-                self.grad = grad
-            else:
-                buf = _STEP_ARENA.take(grad.shape, grad.dtype)
-                np.copyto(buf, grad)
-                self.grad = buf
+            self.grad = grad if donate else _STEP_ARENA.copy_of(grad)
         else:
             self.grad += grad
 

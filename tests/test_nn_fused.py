@@ -16,9 +16,19 @@ import pytest
 
 from repro.core.controller import build_experiment
 from repro.faults.types import FaultType
+from repro.nn import functional as F
 from repro.nn.fault_aware import CrossbarEngine
-from repro.nn.layers import BatchNorm2d, Conv2d, Linear, ReLU, Sequential
-from repro.nn.tensor import Tensor, default_dtype, step_arena, step_scope
+from repro.nn.layers import (
+    BatchNorm2d,
+    Conv2d,
+    GlobalAvgPool2d,
+    Linear,
+    MaxPool2d,
+    Module,
+    ReLU,
+    Sequential,
+)
+from repro.nn.tensor import Tensor, default_dtype, no_grad, step_arena, step_scope
 from repro.reram.chip import Chip
 from repro.utils.config import (
     ChipConfig,
@@ -67,13 +77,18 @@ def _col2im(dcols, x_shape, k, stride, pad):
     return xp[:, :, pad:pad + h, pad:pad + w]
 
 
-def conv2d_oracle(x, grad, w_fwd, w_bwd, bias, clamp_grad, k, stride, pad):
-    co = w_fwd.shape[0]
+def conv2d_forward_oracle(x, w_fwd, bias, k, stride, pad):
+    """The conv output and the patch matrix behind it."""
     cols, oh, ow = _im2col(x, k, stride, pad)
     y = cols @ w_fwd.T
     if bias is not None:
         y = y + bias
-    out = y.reshape(x.shape[0], oh, ow, co).transpose(0, 3, 1, 2)
+    return y.reshape(x.shape[0], oh, ow, w_fwd.shape[0]).transpose(0, 3, 1, 2), cols
+
+
+def conv2d_oracle(x, grad, w_fwd, w_bwd, bias, clamp_grad, k, stride, pad):
+    co = w_fwd.shape[0]
+    out, cols = conv2d_forward_oracle(x, w_fwd, bias, k, stride, pad)
     gy = grad.transpose(0, 2, 3, 1).reshape(-1, co)
     dw = clamp_grad(gy.T @ cols)
     db = gy.sum(axis=0) if bias is not None else None
@@ -111,7 +126,45 @@ def batchnorm_eval_oracle(x, grad, gamma, beta, eps, running_mean, running_var):
 
 
 def relu_oracle(x, grad):
-    return np.maximum(x, 0.0), grad * (x > 0), None, None
+    # The input gradient feeds batch-norm reductions: C-contiguous.
+    return np.maximum(x, 0.0), np.ascontiguousarray(grad * (x > 0)), None, None
+
+
+def maxpool_oracle(x, grad, k):
+    n, c, h, w = x.shape
+    flat = (
+        x.reshape(n, c, h // k, k, w // k, k)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h // k, w // k, k * k)
+    )
+    arg = flat.argmax(axis=-1)[..., None]
+    gflat = np.zeros_like(flat)
+    np.put_along_axis(gflat, arg, grad[..., None], axis=-1)
+    dx = (
+        gflat.reshape(n, c, h // k, w // k, k, k)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h, w)
+    )
+    return np.take_along_axis(flat, arg, axis=-1)[..., 0], dx, None, None
+
+
+def global_avgpool_oracle(x, grad):
+    h, w = x.shape[2:]
+    dx = np.broadcast_to(grad[:, :, None, None] * (1.0 / (h * w)), x.shape).copy()
+    return x.mean(axis=(2, 3)), dx, None, None
+
+
+def concat_self_oracle(x, grad):
+    c = x.shape[1]
+    return np.concatenate([x, x], axis=1), grad[:, :c] + grad[:, c:], None, None
+
+
+class _ConcatSelf(Module):
+    """``concat_channels`` of one input with itself: its gradient is the
+    sum of the two channel slices."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return F.concat_channels([x, x])
 
 
 # --------------------------------------------------------------------- #
@@ -137,50 +190,74 @@ def _faulty_engine(layer) -> CrossbarEngine:
     return engine
 
 
-#: case -> (layer factory, input shape as (N, H, W, C) or (N, F)).
+#: case -> (layer factory, input shape as (N, C, H, W) or (N, F)).  A 4-D
+#: input arrives as the transposed (N, H, W, C)-memory view the conv
+#: layers produce, or, for the ``_nchw`` cases, C-contiguous: the batch
+#: input of the stem and the max-pool output every later conv of vgg and
+#: squeezenet reads.
 _CASES = {
-    "conv": (lambda rng: Conv2d(3, 4, 3, padding=1, rng=rng), (2, 6, 6, 3)),
+    "conv": (lambda rng: Conv2d(3, 4, 3, padding=1, rng=rng), (2, 3, 6, 6)),
+    "conv_nchw": (lambda rng: Conv2d(3, 4, 3, padding=1, rng=rng), (2, 3, 6, 6)),
     "conv_stride2": (
         lambda rng: Conv2d(4, 6, 3, stride=2, padding=1, bias=False, rng=rng),
-        (2, 6, 6, 4),
+        (2, 4, 6, 6),
+    ),
+    "conv_stride2_nchw": (
+        lambda rng: Conv2d(4, 6, 3, stride=2, padding=1, bias=False, rng=rng),
+        (2, 4, 6, 6),
     ),
     "conv_1x1_stride2": (
-        lambda rng: Conv2d(4, 6, 1, stride=2, bias=False, rng=rng), (2, 6, 6, 4),
+        lambda rng: Conv2d(4, 6, 1, stride=2, bias=False, rng=rng), (2, 4, 6, 6),
     ),
+    "conv_1x1": (lambda rng: Conv2d(4, 6, 1, bias=False, rng=rng), (2, 4, 5, 5)),
+    "conv_1x1_nchw": (lambda rng: Conv2d(4, 6, 1, rng=rng), (2, 4, 5, 5)),
     "linear": (lambda rng: Linear(24, 5, rng=rng), (3, 24)),
-    "batchnorm_train": (lambda rng: BatchNorm2d(5), (3, 4, 4, 5)),
-    "batchnorm_eval": (lambda rng: BatchNorm2d(5).eval(), (3, 4, 4, 5)),
-    "relu": (lambda rng: ReLU(), (2, 4, 4, 5)),
+    "batchnorm_train": (lambda rng: BatchNorm2d(5), (3, 5, 4, 4)),
+    "batchnorm_eval": (lambda rng: BatchNorm2d(5).eval(), (3, 5, 4, 4)),
+    "relu": (lambda rng: ReLU(), (2, 5, 4, 4)),
+    "maxpool": (lambda rng: MaxPool2d(2), (2, 5, 4, 6)),
+    "maxpool_nchw": (lambda rng: MaxPool2d(2), (2, 5, 4, 6)),
+    "global_avgpool": (lambda rng: GlobalAvgPool2d(), (2, 5, 3, 4)),
+    "concat": (lambda rng: _ConcatSelf(), (2, 3, 4, 4)),
 }
 
 
-def _input(rng, shape, dtype) -> np.ndarray:
-    """4-D inputs arrive as the transposed (N, H, W, C) views the conv
-    layers produce, so layout-keeping temporaries are exercised."""
-    x = rng.normal(size=shape).astype(dtype)
-    return x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
+def _input(rng, shape, dtype, nchw=False) -> np.ndarray:
+    """A random input of logical shape ``shape`` in the case's layout."""
+    if len(shape) != 4 or nchw:
+        return rng.normal(size=shape).astype(dtype)
+    n, c, h, w = shape
+    return rng.normal(size=(n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
+
+
+def _mvm_weights(layer):
+    """A faulty-engine layer's clamped (forward, backward) matrices, bias
+    and weight-gradient clamp."""
+    key = layer.layer_key
+    w2d = layer.weight.data.reshape(layer.matrix_shape)
+    w_fwd, w_bwd = layer.engine.step_weights(key, w2d)
+    assert not np.array_equal(w_fwd, w2d) and not np.array_equal(w_bwd, w2d)
+    bias = layer.bias.data if layer.bias is not None else None
+
+    def clamp_grad(dw):
+        return layer.engine.gradient_weight(key, dw).copy()
+
+    return w_fwd, w_bwd, bias, clamp_grad
+
+
+def _conv_oracle(layer, x, grad):
+    k, st, pd = layer.kernel_size, layer.stride, layer.padding
+    return conv2d_oracle(x, grad, *_mvm_weights(layer), k, st, pd)
 
 
 def _oracle(layer, x, grad, stats):
     """The oracle's 4-tuple for ``layer``, plus the batch-norm running
     statistics expected after the forward (``stats`` holds them from
     before it; None for other layers)."""
-    if isinstance(layer, (Conv2d, Linear)):
-        key = layer.layer_key
-        w2d = layer.weight.data.reshape(layer.matrix_shape)
-        w_fwd, w_bwd = layer.engine.step_weights(key, w2d)
-        assert not np.array_equal(w_fwd, w2d) and not np.array_equal(w_bwd, w2d)
-        bias = layer.bias.data if layer.bias is not None else None
-
-        def clamp_grad(dw):
-            return layer.engine.gradient_weight(key, dw).copy()
-
-        if isinstance(layer, Linear):
-            return linear_oracle(x, grad, w_fwd, w_bwd, bias, clamp_grad), None
-        k = layer.kernel_size
-        return conv2d_oracle(
-            x, grad, w_fwd, w_bwd, bias, clamp_grad, k, layer.stride, layer.padding
-        ), None
+    if isinstance(layer, Linear):
+        return linear_oracle(x, grad, *_mvm_weights(layer)), None
+    if isinstance(layer, Conv2d):
+        return _conv_oracle(layer, x, grad), None
     if isinstance(layer, BatchNorm2d):
         g, b = layer.gamma.data, layer.beta.data
         if not layer.training:
@@ -189,6 +266,12 @@ def _oracle(layer, x, grad, stats):
         rm, rv = stats
         m = layer.momentum
         return want, (rm + m * (mean - rm), rv + m * (var - rv))
+    if isinstance(layer, MaxPool2d):
+        return maxpool_oracle(x, grad, layer.kernel), None
+    if isinstance(layer, GlobalAvgPool2d):
+        return global_avgpool_oracle(x, grad), None
+    if isinstance(layer, _ConcatSelf):
+        return concat_self_oracle(x, grad), None
     return relu_oracle(x, grad), None
 
 
@@ -199,7 +282,7 @@ def _accumulated(param, value: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_step(layer, rng, shape, dtype) -> None:
+def _check_step(layer, rng, shape, dtype, nchw=False) -> None:
     """One forward/backward of ``layer`` against the oracle, bit for bit."""
     if isinstance(layer, BatchNorm2d):
         params = [layer.gamma, layer.beta]
@@ -210,7 +293,7 @@ def _check_step(layer, rng, shape, dtype) -> None:
     for p in params:
         if p is not None:
             p.zero_grad()
-    x = _input(rng, shape, dtype)
+    x = _input(rng, shape, dtype, nchw)
     xt = Tensor(x, requires_grad=True)
     out = layer(xt)
     grad = rng.normal(size=out.shape).astype(dtype)
@@ -226,9 +309,15 @@ def _check_step(layer, rng, shape, dtype) -> None:
         np.testing.assert_array_equal(layer.running_var, want_stats[1])
 
 
+_DTYPES = pytest.mark.parametrize("dtype", ["float32", "float64"])
+_IN_STEP = pytest.mark.parametrize(
+    "in_step", [False, True], ids=["fresh", "step_arena"]
+)
+
+
 class TestLayerOracle:
-    @pytest.mark.parametrize("in_step", [False, True], ids=["fresh", "step_arena"])
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @_IN_STEP
+    @_DTYPES
     @pytest.mark.parametrize("case", sorted(_CASES))
     def test_layer_matches_oracle_bit_for_bit(self, case, dtype, in_step):
         factory, shape = _CASES[case]
@@ -246,7 +335,117 @@ class TestLayerOracle:
                 # Two steps: inside the step scope the second one runs on
                 # the first one's recycled (dirty) arena buffers.
                 for _ in range(2):
-                    _check_step(layer, rng, shape, dtype)
+                    _check_step(layer, rng, shape, dtype, case.endswith("_nchw"))
+                    step_arena().reset()
+
+
+class TestNoGradForward:
+    """The eval and serve path: patch matrix and pad block from the
+    scratch pool, which holds one grow-only buffer per tag."""
+
+    @_DTYPES
+    @pytest.mark.parametrize("case", sorted(c for c in _CASES if c.startswith("conv")))
+    def test_forward_matches_oracle_large_then_small(self, case, dtype):
+        factory, (_, c, _, _) = _CASES[case]
+        rng = np.random.default_rng(5)
+        with default_dtype(dtype):
+            layer = factory(rng)
+            _faulty_engine(layer)
+            # The large batch grows the scratch buffers; the small one
+            # runs on a view of their (dirty) leading elements.
+            for shape in [(5, c, 9, 9), (2, c, 6, 6), (5, c, 9, 9)]:
+                x = _input(rng, shape, dtype, case.endswith("_nchw"))
+                with no_grad():
+                    out = layer(Tensor(x))
+                w_fwd, _, bias, _ = _mvm_weights(layer)
+                want, _ = conv2d_forward_oracle(
+                    x, w_fwd, bias, layer.kernel_size, layer.stride, layer.padding
+                )
+                np.testing.assert_array_equal(out.data, want)
+        pool = F._SCRATCH_TLS.pool
+        assert sum(tag == "im2col_out" for tag, _ in pool) <= 2  # one per dtype
+
+
+class TestLayerChains:
+    """Gradients handed between layers in the activations' own memory
+    order: batch norm's input gradient, donated NHWC ``col2im`` views,
+    max pooling's scatter, and ``+=`` onto a donated view."""
+
+    @_IN_STEP
+    @_DTYPES
+    def test_conv_bn_relu_pool_conv(self, dtype, in_step):
+        rng = np.random.default_rng(13)
+        with default_dtype(dtype):
+            conv1 = Conv2d(3, 4, 3, padding=1, bias=False, rng=rng)
+            bn, pool = BatchNorm2d(4), MaxPool2d(2)
+            conv2 = Conv2d(4, 6, 3, padding=1, rng=rng)
+            bn.gamma.data[:] = rng.normal(1.0, 0.3, 4)
+            bn.beta.data[:] = rng.normal(0.0, 0.3, 4)
+            model = Sequential(conv1, bn, ReLU(), pool, conv2)
+            for conv in (conv1, conv2):
+                _faulty_engine(conv)
+            with step_scope() if in_step else contextlib.nullcontext():
+                for _ in range(2):
+                    for p in model.parameters():
+                        p.zero_grad()
+                    x = _input(rng, (2, 3, 8, 8), dtype, nchw=True)
+                    xt = Tensor(x, requires_grad=True)
+                    out = model(xt)
+                    grad = rng.normal(size=out.shape).astype(dtype)
+                    w1f, _, _, _ = _mvm_weights(conv1)
+                    a1, _ = conv2d_forward_oracle(x, w1f, None, 3, 1, 1)
+                    zero = np.zeros_like(a1)
+                    (a2, *_), _, _ = batchnorm_train_oracle(
+                        a1, zero, bn.gamma.data, bn.beta.data, bn.eps
+                    )
+                    a3 = np.maximum(a2, 0.0)
+                    a4 = maxpool_oracle(a3, np.zeros_like(a3[:, :, ::2, ::2]), 2)[0]
+                    want_out, g4, dw2, db2 = _conv_oracle(conv2, a4, grad)
+                    g3 = maxpool_oracle(a3, g4, 2)[1]
+                    g2 = relu_oracle(a2, g3)[1]
+                    (_, g1, dgamma, dbeta), _, _ = batchnorm_train_oracle(
+                        a1, g2, bn.gamma.data, bn.beta.data, bn.eps
+                    )
+                    _, dx, dw1, _ = _conv_oracle(conv1, x, g1)
+                    out.backward(grad)
+                    np.testing.assert_array_equal(out.data, want_out)
+                    np.testing.assert_array_equal(xt.grad, dx)
+                    for p, want in [(conv1.weight, dw1), (conv2.weight, dw2),
+                                    (conv2.bias, db2), (bn.gamma, dgamma),
+                                    (bn.beta, dbeta)]:
+                        np.testing.assert_array_equal(p.grad, _accumulated(p, want))
+                    step_arena().reset()
+
+    @_IN_STEP
+    @_DTYPES
+    def test_one_input_feeds_conv_and_shortcut(self, dtype, in_step):
+        """A ResNet downsampling block's input: its gradient is one conv's
+        donated ``col2im`` view plus the other's, added in place."""
+        rng = np.random.default_rng(17)
+        with default_dtype(dtype):
+            conv1 = Conv2d(4, 6, 3, stride=2, padding=1, bias=False, rng=rng)
+            short = Conv2d(4, 6, 1, stride=2, bias=False, rng=rng)
+            for conv in (conv1, short):
+                _faulty_engine(conv)
+            with step_scope() if in_step else contextlib.nullcontext():
+                for _ in range(2):
+                    for conv in (conv1, short):
+                        conv.weight.zero_grad()
+                    x = _input(rng, (2, 4, 6, 6), dtype)
+                    xt = Tensor(x, requires_grad=True)
+                    out = conv1(xt) + short(xt)
+                    grad = rng.normal(size=out.shape).astype(dtype)
+                    out1, dx1, dw1, _ = _conv_oracle(conv1, x, grad)
+                    out2, dx2, dw2, _ = _conv_oracle(short, x, grad)
+                    out.backward(grad)
+                    np.testing.assert_array_equal(out.data, out1 + out2)
+                    np.testing.assert_array_equal(xt.grad, dx1 + dx2)
+                    np.testing.assert_array_equal(
+                        conv1.weight.grad, _accumulated(conv1.weight, dw1)
+                    )
+                    np.testing.assert_array_equal(
+                        short.weight.grad, _accumulated(short.weight, dw2)
+                    )
                     step_arena().reset()
 
 
