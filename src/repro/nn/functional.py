@@ -8,6 +8,7 @@ weight matrices (different ones for the forward and the backward MVM).
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -33,9 +34,10 @@ __all__ = [
 # im2col / col2im
 # --------------------------------------------------------------------- #
 #: reusable scratch memory for temporaries that die inside one op (the
-#: im2col pad block, inference-mode patch matrices): one grow-only flat
-#: buffer per (tag, dtype), handed out as views, so each tag holds only
-#: its largest request.  The pool is *per thread*: serving replica
+#: im2col pad block, inference-mode patch matrices, batch norm's float64
+#: eval working buffer, max pooling's comparison masks): one grow-only
+#: flat buffer per (tag, dtype), handed out as views, so each tag holds
+#: only its largest request.  The pool is *per thread*: serving replica
 #: threads run forwards concurrently and must never share a buffer.
 _SCRATCH_TLS = threading.local()
 #: patch-matrix bytes built or folded per block of images: each of the
@@ -49,11 +51,36 @@ def _scratch(tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     if pool is None:
         pool = _SCRATCH_TLS.pool = {}
     key = (tag, np.dtype(dtype).str)
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     buf = pool.get(key)
     if buf is None or buf.size < size:
         buf = pool[key] = np.empty(size, dtype=dtype)
     return buf[:size].reshape(shape)
+
+
+def channel_rows(x: np.ndarray):
+    """How to walk a 4-D activation for per-channel elementwise work.
+
+    Returns ``(rows, tile)``: ``rows(a)`` views an array of ``x``'s shape
+    and memory order as long rows, and ``tile(v)`` lays a per-channel
+    vector out to broadcast against them.  NHWC memory (conv outputs)
+    walks ``(N*H, W*C)`` rows with the vector tiled W times, C-contiguous
+    memory ``(N*C, H*W)`` rows of one channel each; any other layout
+    keeps the plain 4-D broadcast.  A 4-D broadcast over NHWC memory runs
+    NumPy's inner loops only C elements long.
+    """
+    n, c, h, w = x.shape
+    if x.flags.c_contiguous:
+        return (
+            (lambda a: a.reshape(n * c, h * w)),
+            (lambda v: v[None].repeat(n, axis=0).reshape(n * c, 1)),
+        )
+    if x.transpose(0, 2, 3, 1).flags.c_contiguous:
+        return (
+            (lambda a: a.transpose(0, 2, 3, 1).reshape(n * h, w * c)),
+            (lambda v: v[None].repeat(w, axis=0).reshape(w * c)),
+        )
+    return (lambda a: a), (lambda v: v[None, :, None, None])
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -164,23 +191,49 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
     """Non-overlapping max pooling (kernel == stride).
 
     The input spatial size must be divisible by ``kernel`` — the models in
-    this repository are built so that it always is.
+    this repository are built so that it always is.  The output is the
+    running maximum over the kernel**2 strided window views, in a
+    C-contiguous ``(N, C, OH, OW)`` buffer.  With grad on, each window's
+    first maximal offset in row-major order (the one ``argmax`` picks)
+    is recorded for the backward: an offset replaces the one before only
+    when its value is strictly greater.
     """
     n, c, h, w = x.shape
     if h % kernel or w % kernel:
         raise ValueError(f"maxpool2d: spatial dims ({h},{w}) not divisible by {kernel}")
     oh, ow = h // kernel, w // kernel
-    windows = x.data.reshape(n, c, oh, kernel, ow, kernel)
-    flat = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, kernel * kernel)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    shape = (n, c, oh, ow)
+    xd = x.data
+    arena = step_arena()
+    out_data = arena.take(shape, xd.dtype)
+    np.copyto(out_data, xd[:, :, ::kernel, ::kernel])
+    grad_on = is_grad_enabled()
+    if grad_on:
+        arg = arena.take(shape, np.uint8)
+        arg.fill(0)
+        hit = _scratch("maxpool_hit", shape, np.bool_)
+        hit_at = _scratch("maxpool_hit_at", shape, np.uint8)
+    for p in range(1, kernel * kernel):
+        i, j = divmod(p, kernel)
+        win = xd[:, :, i::kernel, j::kernel]
+        if grad_on:
+            # Offsets only grow, so a hit's offset is arg's new maximum.
+            np.greater(win, out_data, out=hit)
+            np.multiply(hit, np.uint8(p), out=hit_at)
+            np.maximum(arg, hit_at, out=arg)
+        # NumPy's maximum returns its second operand when +0 meets -0:
+        # the earlier value stays, as the element argmax picks would.
+        np.maximum(win, out_data, out=out_data)
+    if not grad_on:
+        return Tensor(out_data)
 
     def bwd(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        # Scatter each window's gradient to its argmax, one window offset
-        # at a time, straight into an arena buffer that is then donated.
-        gx = step_arena().take((n, c, h, w), grad.dtype)
+        # Scatter each window's gradient to its recorded offset, one
+        # offset at a time, straight into an arena buffer that is then
+        # donated.
+        gx = arena.take((n, c, h, w), grad.dtype)
         gx.fill(0.0)
         g6 = gx.reshape(n, c, oh, kernel, ow, kernel)
         for p in range(kernel * kernel):

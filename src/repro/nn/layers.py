@@ -330,7 +330,17 @@ class BatchNorm2d(Module):
     """Batch normalisation over (N, H, W) per channel.
 
     Executed by the tile's digital functional units, which the paper (and
-    this simulator) treat as fault-free CMOS.
+    this simulator) treat as fault-free CMOS.  That is why it is not
+    folded into the preceding conv's weights for inference: folded
+    weights would pass through the crossbar's stuck-at clamp, which a
+    CMOS op never sees.
+
+    The running statistics are float64.  In eval mode the normalisation
+    runs in float64 too, over float64 promotions of the activations, and
+    its result is rounded once to the activation dtype; the input
+    gradient of a graph-building eval is likewise computed in float64
+    and rounded once.  The perfbench digests, serve's logit digest among
+    them, pin those bits.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -362,20 +372,46 @@ class BatchNorm2d(Module):
             )
         if self.training:
             return self._forward_train(x)
+        return self._forward_eval(x)
+
+    def _forward_eval(self, x: Tensor) -> Tensor:
+        """Eval forward over the running statistics, in float64.
+
+        ``((x - mean) / sqrt(var + eps)) * gamma + beta`` runs in place in
+        one float64 working buffer from the scratch pool, over the long
+        rows of :func:`~repro.nn.functional.channel_rows`, and is rounded
+        once into an output in the input's layout and dtype.  A
+        graph-building forward keeps its float64 ``xhat`` in a step-arena
+        buffer for the backward.
+        """
         axes = (0, 2, 3)
-        std4 = np.sqrt(self.running_var + self.eps)[None, :, None, None]
-        xhat = (x.data - self.running_mean[None, :, None, None]) / std4
-        out_data = (
-            self.gamma.data[None, :, None, None] * xhat
-            + self.beta.data[None, :, None, None]
-        )
+        arena = step_arena()
+        xd = x.data
+        rows, tile = F.channel_rows(xd)
+        xr = rows(xd)
+        std = np.sqrt(self.running_var + self.eps)
+        work = F._scratch("bn_eval", xr.shape, np.float64)
+        grad_on = is_grad_enabled()
+        xhat4 = arena.take_like(xd, np.float64) if grad_on else None
+        xhat = rows(xhat4) if grad_on else work
+        np.subtract(xr, tile(self.running_mean), out=xhat)
+        np.divide(xhat, tile(std), out=xhat)
+        np.multiply(xhat, tile(self.gamma.data.astype(np.float64)), out=work)
+        np.add(work, tile(self.beta.data.astype(np.float64)), out=work)
+        out_data = arena.take_like(xd)
+        np.copyto(rows(out_data), work, casting="same_kind")
+        if not grad_on:
+            return Tensor(out_data)
         gamma, beta = self.gamma, self.beta
 
         def bwd(grad: np.ndarray) -> None:
-            gamma.grad += (grad * xhat).sum(axis=axes)
+            gamma.grad += (grad * xhat4).sum(axis=axes)
             beta.grad += grad.sum(axis=axes)
             if x.requires_grad:
-                x.accumulate_grad((gamma.data[None, :, None, None] / std4) * grad)
+                # float64 product, rounded once to the input's dtype.
+                dx = arena.take_like(xd)
+                np.multiply((gamma.data / std)[None, :, None, None], grad, out=dx)
+                x.accumulate_grad(dx, donate=True)
 
         return Tensor(out_data, parents=(x,), backward=bwd)
 

@@ -147,8 +147,9 @@ class BufferArena:
         key = (shape, None, np.dtype(dtype).str)
         return self._grant(key, shape, dtype, None)
 
-    def take_like(self, a: np.ndarray) -> np.ndarray:
-        """A buffer matching ``a``'s shape, dtype *and* memory layout.
+    def take_like(self, a: np.ndarray, dtype=None) -> np.ndarray:
+        """A buffer matching ``a``'s shape, memory layout and dtype (or
+        ``dtype`` when given).
 
         Layer outputs must keep the memory order a plain ufunc would give
         them: pairwise-summation reductions depend on iteration order,
@@ -157,12 +158,13 @@ class BufferArena:
         activation views) need buffers with matching strides, not
         C-contiguous ones.
         """
+        dtype = a.dtype if dtype is None else np.dtype(dtype)
         if a.flags.c_contiguous:
-            return self.take(a.shape, a.dtype)
+            return self.take(a.shape, dtype)
         if not getattr(_MODE_TLS, "step", False):
-            return np.empty_like(a)
-        key = (a.shape, a.strides, np.dtype(a.dtype).str)
-        return self._grant(key, a.shape, a.dtype, a)
+            return np.empty_like(a, dtype=dtype)
+        key = (a.shape, a.strides, dtype.str)
+        return self._grant(key, a.shape, dtype, a)
 
     def copy_of(self, a: np.ndarray) -> np.ndarray:
         """A C-contiguous buffer holding ``a``'s values."""
@@ -181,7 +183,7 @@ class BufferArena:
         if i < len(pool):
             return pool[i]
         # order="K" replicates a permuted-dense layout (same strides).
-        buf = np.empty(shape, dtype=dtype) if like is None else np.empty_like(like)
+        buf = np.empty(shape, dtype) if like is None else np.empty_like(like, dtype)
         pool.append(buf)
         return buf
 

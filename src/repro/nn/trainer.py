@@ -162,11 +162,13 @@ class Trainer:
         """Top-1 accuracy on the test split (or a supplied set).
 
         A thin argmax wrapper over :meth:`predict` — serving and
-        evaluation share one inference surface.
+        evaluation share one inference surface.  Supplied inputs need
+        their labels; :meth:`predict` gives logits without them.
         """
         if x is None:
             x, y = self.dataset.x_test, self.dataset.y_test
-        assert y is not None
+        if y is None:
+            raise ValueError("evaluate(x) needs the labels y of the supplied inputs")
         logits = self.predict(x)
         return int((logits.argmax(axis=1) == y).sum()) / len(y)
 

@@ -10,6 +10,7 @@ produces, forward and backward, must equal the oracle's bit for bit.
 """
 
 import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -118,10 +119,12 @@ def batchnorm_train_oracle(x, grad, gamma, beta, eps):
 
 
 def batchnorm_eval_oracle(x, grad, gamma, beta, eps, running_mean, running_var):
+    """In float64 over the float64 running statistics; the output and the
+    input gradient are each rounded once to the input's dtype."""
     std = np.sqrt(running_var + eps)
     xhat = (x - _c4(running_mean)) / _c4(std)
-    out = _c4(gamma) * xhat + _c4(beta)
-    dx = (_c4(gamma) / _c4(std)) * grad
+    out = (_c4(gamma) * xhat + _c4(beta)).astype(x.dtype)
+    dx = ((_c4(gamma) / _c4(std)) * grad).astype(x.dtype)
     return out, dx, (grad * xhat).sum(axis=_AXES), grad.sum(axis=_AXES)
 
 
@@ -194,7 +197,9 @@ def _faulty_engine(layer) -> CrossbarEngine:
 #: input arrives as the transposed (N, H, W, C)-memory view the conv
 #: layers produce, or, for the ``_nchw`` cases, C-contiguous: the batch
 #: input of the stem and the max-pool output every later conv of vgg and
-#: squeezenet reads.
+#: squeezenet reads.  Batch norm and max pooling walk the two layouts
+#: along different rows, so each runs in both; ``maxpool_1x1`` is vgg's
+#: last pool (a 1x1 output) over an odd channel count.
 _CASES = {
     "conv": (lambda rng: Conv2d(3, 4, 3, padding=1, rng=rng), (2, 3, 6, 6)),
     "conv_nchw": (lambda rng: Conv2d(3, 4, 3, padding=1, rng=rng), (2, 3, 6, 6)),
@@ -213,10 +218,15 @@ _CASES = {
     "conv_1x1_nchw": (lambda rng: Conv2d(4, 6, 1, rng=rng), (2, 4, 5, 5)),
     "linear": (lambda rng: Linear(24, 5, rng=rng), (3, 24)),
     "batchnorm_train": (lambda rng: BatchNorm2d(5), (3, 5, 4, 4)),
+    "batchnorm_train_nchw": (lambda rng: BatchNorm2d(5), (3, 5, 4, 4)),
     "batchnorm_eval": (lambda rng: BatchNorm2d(5).eval(), (3, 5, 4, 4)),
+    "batchnorm_eval_nchw": (lambda rng: BatchNorm2d(5).eval(), (3, 5, 4, 4)),
     "relu": (lambda rng: ReLU(), (2, 5, 4, 4)),
     "maxpool": (lambda rng: MaxPool2d(2), (2, 5, 4, 6)),
     "maxpool_nchw": (lambda rng: MaxPool2d(2), (2, 5, 4, 6)),
+    "maxpool_1x1": (lambda rng: MaxPool2d(2), (3, 7, 2, 2)),
+    "maxpool_1x1_nchw": (lambda rng: MaxPool2d(2), (3, 7, 2, 2)),
+    "maxpool_k3": (lambda rng: MaxPool2d(3), (2, 3, 6, 9)),
     "global_avgpool": (lambda rng: GlobalAvgPool2d(), (2, 5, 3, 4)),
     "concat": (lambda rng: _ConcatSelf(), (2, 3, 4, 4)),
 }
@@ -301,6 +311,7 @@ def _check_step(layer, rng, shape, dtype, nchw=False) -> None:
     out.backward(grad)
     np.testing.assert_array_equal(out.data, np.asarray(want_out, dtype=dtype))
     np.testing.assert_array_equal(xt.grad, want_dx)
+    assert xt.grad.dtype == x.dtype
     for p, want in zip(params, want_grads):
         if p is not None:
             np.testing.assert_array_equal(p.grad, _accumulated(p, want))
@@ -315,6 +326,19 @@ _IN_STEP = pytest.mark.parametrize(
 )
 
 
+def _prepared(layer, rng):
+    """``layer`` bound to a faulty engine (MVM layers) or with random
+    affine parameters and running statistics (batch norm)."""
+    if isinstance(layer, (Conv2d, Linear)):
+        _faulty_engine(layer)
+    if isinstance(layer, BatchNorm2d):
+        layer.gamma.data[:] = rng.normal(1.0, 0.3, layer.channels)
+        layer.beta.data[:] = rng.normal(0.0, 0.3, layer.channels)
+        layer.running_mean[:] = rng.normal(0.0, 0.3, layer.channels)
+        layer.running_var[:] = rng.uniform(0.5, 2.0, layer.channels)
+    return layer
+
+
 class TestLayerOracle:
     @_IN_STEP
     @_DTYPES
@@ -323,14 +347,7 @@ class TestLayerOracle:
         factory, shape = _CASES[case]
         rng = np.random.default_rng(9)
         with default_dtype(dtype):
-            layer = factory(rng)
-            if isinstance(layer, (Conv2d, Linear)):
-                _faulty_engine(layer)
-            if isinstance(layer, BatchNorm2d):
-                layer.gamma.data[:] = rng.normal(1.0, 0.3, layer.channels)
-                layer.beta.data[:] = rng.normal(0.0, 0.3, layer.channels)
-                layer.running_mean[:] = rng.normal(0.0, 0.3, layer.channels)
-                layer.running_var[:] = rng.uniform(0.5, 2.0, layer.channels)
+            layer = _prepared(factory(rng), rng)
             with step_scope() if in_step else contextlib.nullcontext():
                 # Two steps: inside the step scope the second one runs on
                 # the first one's recycled (dirty) arena buffers.
@@ -339,31 +356,115 @@ class TestLayerOracle:
                     step_arena().reset()
 
 
+def _forward_oracle(layer, x):
+    """The oracle's forward output for ``layer`` on ``x``."""
+    if isinstance(layer, Conv2d):
+        w_fwd, _, bias, _ = _mvm_weights(layer)
+        k, st, pd = layer.kernel_size, layer.stride, layer.padding
+        return conv2d_forward_oracle(x, w_fwd, bias, k, st, pd)[0]
+    if isinstance(layer, BatchNorm2d):
+        return batchnorm_eval_oracle(
+            x, np.zeros_like(x), layer.gamma.data, layer.beta.data, layer.eps,
+            layer.running_mean, layer.running_var,
+        )[0]
+    k = layer.kernel
+    return maxpool_oracle(x, np.zeros_like(x[:, :, ::k, ::k]), k)[0]
+
+
 class TestNoGradForward:
-    """The eval and serve path: patch matrix and pad block from the
-    scratch pool, which holds one grow-only buffer per tag."""
+    """The eval and serve path: patch matrix, pad block and batch norm's
+    float64 working buffer from the scratch pool, which holds one
+    grow-only buffer per tag."""
 
     @_DTYPES
-    @pytest.mark.parametrize("case", sorted(c for c in _CASES if c.startswith("conv")))
+    @pytest.mark.parametrize("case", sorted(
+        c for c in _CASES if c.startswith(("conv", "batchnorm_eval", "maxpool"))
+    ))
     def test_forward_matches_oracle_large_then_small(self, case, dtype):
         factory, (_, c, _, _) = _CASES[case]
         rng = np.random.default_rng(5)
+        nchw = case.endswith("_nchw")
+        # Odd sizes for the convs; sizes both pooling kernels divide.
+        large = 9 if case.startswith("conv") else 12
         with default_dtype(dtype):
-            layer = factory(rng)
-            _faulty_engine(layer)
+            layer = _prepared(factory(rng), rng)
             # The large batch grows the scratch buffers; the small one
             # runs on a view of their (dirty) leading elements.
-            for shape in [(5, c, 9, 9), (2, c, 6, 6), (5, c, 9, 9)]:
-                x = _input(rng, shape, dtype, case.endswith("_nchw"))
+            for n, hw in [(5, large), (2, 6), (5, large)]:
+                x = _input(rng, (n, c, hw, hw), dtype, nchw)
                 with no_grad():
                     out = layer(Tensor(x))
-                w_fwd, _, bias, _ = _mvm_weights(layer)
-                want, _ = conv2d_forward_oracle(
-                    x, w_fwd, bias, layer.kernel_size, layer.stride, layer.padding
-                )
-                np.testing.assert_array_equal(out.data, want)
+                np.testing.assert_array_equal(out.data, _forward_oracle(layer, x))
+                # The layouts downstream reductions see: batch norm keeps
+                # its input's, max pooling hands on C-contiguous memory.
+                if isinstance(layer, BatchNorm2d):
+                    assert out.data.strides == x.strides
+                if isinstance(layer, MaxPool2d):
+                    assert out.data.flags.c_contiguous
         pool = F._SCRATCH_TLS.pool
         assert sum(tag == "im2col_out" for tag, _ in pool) <= 2  # one per dtype
+
+    def test_bn_working_buffer_is_one_per_thread(self):
+        """Both activation dtypes and both layouts share one grow-only
+        float64 buffer per thread, as large as the largest request."""
+        rng = np.random.default_rng(6)
+        found = []
+
+        def forwards():
+            for dtype in ("float32", "float64"):
+                with default_dtype(dtype):
+                    bn = _prepared(BatchNorm2d(5).eval(), rng)
+                    for n, hw, nchw in [(4, 8, False), (2, 4, True), (3, 6, False)]:
+                        x = _input(rng, (n, 5, hw, hw), dtype, nchw)
+                        with no_grad():
+                            bn(Tensor(x))
+            pool = F._SCRATCH_TLS.pool
+            found.append({key: buf for key, buf in pool.items() if key[0] == "bn_eval"})
+
+        for _ in range(2):
+            thread = threading.Thread(target=forwards)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(found) == 2
+        for bufs in found:
+            assert list(bufs) == [("bn_eval", np.dtype(np.float64).str)]
+            assert next(iter(bufs.values())).size == 4 * 5 * 8 * 8
+        first, second = (next(iter(bufs.values())) for bufs in found)
+        assert first is not second
+
+
+class TestMaxPoolTies:
+    """A window's gradient goes to its first maximal element in row-major
+    offset order, as ``argmax`` picks it: post-ReLU zeros and repeated
+    maxima tie in most windows here."""
+
+    @_IN_STEP
+    @_DTYPES
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("nchw", [False, True], ids=["nhwc", "nchw"])
+    def test_gradient_goes_to_first_maximal_offset(self, nchw, kernel, dtype, in_step):
+        rng = np.random.default_rng(23)
+        n, c, h, w = 2, 3, 2 * kernel, 3 * kernel
+        with default_dtype(dtype):
+            pool = MaxPool2d(kernel)
+            with step_scope() if in_step else contextlib.nullcontext():
+                for _ in range(2):
+                    levels = _input(rng, (n, c, h, w), dtype, nchw)
+                    x = np.maximum(np.round(levels), 0.0).astype(dtype)
+                    xt = Tensor(x, requires_grad=True)
+                    out = pool(xt)
+                    grad = rng.normal(size=out.shape).astype(dtype)
+                    out.backward(grad)
+                    want = np.zeros_like(x)
+                    for b, ch, i, j in np.ndindex(*out.shape):
+                        win = x[b, ch, i * kernel:(i + 1) * kernel,
+                                j * kernel:(j + 1) * kernel]
+                        di, dj = divmod(int(np.flatnonzero(win == win.max())[0]), kernel)
+                        want[b, ch, i * kernel + di, j * kernel + dj] = grad[b, ch, i, j]
+                    np.testing.assert_array_equal(xt.grad, want)
+                    np.testing.assert_array_equal(xt.grad, maxpool_oracle(x, grad, kernel)[1])
+                    step_arena().reset()
 
 
 class TestLayerChains:

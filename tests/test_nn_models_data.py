@@ -126,6 +126,20 @@ class TestTrainer:
         trainer.fit(on_epoch_end=lambda e, t: calls.append(e))
         assert calls == [0]
 
+    def test_evaluate_supplied_inputs_needs_labels(self, rng, tiny_train_config):
+        ds = make_dataset("synth-cifar10", 32, 32, rng=rng)
+        model = build_model("vgg11", 10, 0.125, rng)
+        trainer = Trainer(model, ds, tiny_train_config, rng)
+        predicted = []
+        trainer.predict = lambda *args, **kwargs: predicted.append(args)
+        # A ValueError, not an assert that ``python -O`` strips, and
+        # raised before any predict pass runs.
+        with pytest.raises(ValueError, match="labels"):
+            trainer.evaluate(ds.x_test)
+        assert predicted == []
+        del trainer.predict
+        assert trainer.evaluate(ds.x_test, ds.y_test) == trainer.evaluate()
+
     def test_final_accuracy_is_tail_mean(self, rng):
         cfg = TrainConfig(
             model="vgg11", epochs=2, batch_size=16, n_train=32,
