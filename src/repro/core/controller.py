@@ -24,9 +24,7 @@ from repro.analog import AnalogStack
 from repro.bist.density import pair_density_estimates, scan_chip
 from repro.core.policies import Policy, make_policy
 from repro.core.remap_protocol import RemapPlan
-from repro.faults.distribution import clustered_cells, uniform_cells
-from repro.faults.injector import FaultInjector
-from repro.faults.types import FaultType
+from repro.faults.injector import FaultInjector, place_faults
 from repro.nn.data import SyntheticDataset, cached_dataset
 from repro.nn.fault_aware import CrossbarEngine
 from repro.nn.layers import Conv2d, Linear, Module
@@ -135,20 +133,16 @@ def size_chip_for_model(
     return replace(base, crossbars_per_ima=cpi)
 
 
-def inject_phase_faults(
-    ctx: ExperimentContext,
-    phase: str,
-    density: float,
-    clustered: bool = True,
-) -> int:
+def inject_phase_faults(ctx: ExperimentContext, phase: str, density: float) -> int:
     """Inject ``density`` faults into every crossbar of one phase's copies.
 
     This is the Fig. 5 experiment: stress the forward *or* the backward
-    copies in isolation and observe the training accuracy.  Returns the
-    number of cells stuck.
+    copies in isolation and observe the training accuracy.  Cells are
+    placed as the fault config's spatial settings say (``clustered``,
+    ``cluster_fraction``).  Returns the number of cells stuck.
     """
     rng = ctx.rng_hub.stream("phase-faults")
-    sa0_p = ctx.config.faults.sa0_probability()
+    fc = ctx.config.faults
     total = 0
     for mapping in ctx.engine.all_mappings():
         if mapping.phase != phase:
@@ -157,18 +151,7 @@ def inject_phase_faults(
             pair = ctx.chip.pair(pair_id)
             for fmap in (pair.pos.fault_map, pair.neg.fault_map):
                 count = int(round(density * fmap.cells))
-                forbidden = np.flatnonzero(fmap.faulty_mask.ravel())
-                if clustered:
-                    cells = clustered_cells(
-                        rng, fmap.rows, fmap.cols, count, forbidden=forbidden
-                    )
-                else:
-                    cells = uniform_cells(
-                        rng, fmap.rows, fmap.cols, count, forbidden=forbidden
-                    )
-                is_sa0 = rng.random(cells.size) < sa0_p
-                total += fmap.inject(cells[is_sa0], FaultType.SA0)
-                total += fmap.inject(cells[~is_sa0], FaultType.SA1)
+                total += place_faults(rng, fmap, count, fc, post=False)
     ctx.chip.bump_fault_version()
     ctx.telemetry.event("fault_injected", phase=phase, source="phase", cells=total)
     ctx.telemetry.count("faults.phase_cells", total)
@@ -192,23 +175,11 @@ def inject_fault_wave(ctx: ExperimentContext, epoch: int) -> int:
         target = chips[min(fc.wave_chip, len(chips) - 1)]
     else:
         target = ctx.chip
-    sa0_p = fc.sa0_probability(post=True)
     total = 0
     for xb in target.crossbars:
         fmap = xb.fault_map
         count = int(round(fc.wave_density * fmap.cells))
-        forbidden = np.flatnonzero(fmap.faulty_mask.ravel())
-        if fc.clustered:
-            cells = clustered_cells(
-                rng, fmap.rows, fmap.cols, count, forbidden=forbidden
-            )
-        else:
-            cells = uniform_cells(
-                rng, fmap.rows, fmap.cols, count, forbidden=forbidden
-            )
-        is_sa0 = rng.random(cells.size) < sa0_p
-        total += fmap.inject(cells[is_sa0], FaultType.SA0)
-        total += fmap.inject(cells[~is_sa0], FaultType.SA1)
+        total += place_faults(rng, fmap, count, fc, post=True)
     ctx.chip.bump_fault_version()
     ctx.telemetry.event(
         "fault_injected", phase="wave", source="wave", epoch=epoch,

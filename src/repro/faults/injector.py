@@ -30,7 +30,44 @@ from repro.faults.endurance import EnduranceModel, WearTracker
 from repro.faults.types import FaultMap, FaultType
 from repro.utils.config import FaultConfig
 
-__all__ = ["FaultInjector"]
+__all__ = ["FaultInjector", "place_faults"]
+
+
+def place_faults(
+    rng: np.random.Generator,
+    fmap: FaultMap,
+    count: int,
+    config: FaultConfig,
+    post: bool,
+) -> int:
+    """Stick ``count`` new cells of ``fmap``; returns how many stuck.
+
+    The one placement rule of every injection path: cells are drawn
+    clustered (``config.cluster_fraction`` of them in one window) or
+    uniformly as ``config.clustered`` says, never on a cell that is
+    already stuck, then split SA0/SA1 at the pre- or post-deployment
+    ratio (``post``).  Nothing is drawn when no cell is to be placed.
+    """
+    if count <= 0:
+        return 0
+    forbidden = np.flatnonzero(fmap.faulty_mask.ravel())
+    if config.clustered:
+        cells = clustered_cells(
+            rng,
+            fmap.rows,
+            fmap.cols,
+            count,
+            cluster_fraction=config.cluster_fraction,
+            forbidden=forbidden,
+        )
+    else:
+        cells = uniform_cells(rng, fmap.rows, fmap.cols, count, forbidden=forbidden)
+    if cells.size == 0:
+        return 0
+    is_sa0 = rng.random(cells.size) < config.sa0_probability(post=post)
+    injected = fmap.inject(cells[is_sa0], FaultType.SA0)
+    injected += fmap.inject(cells[~is_sa0], FaultType.SA1)
+    return injected
 
 
 class FaultInjector:
@@ -61,7 +98,7 @@ class FaultInjector:
         )
         for xbar_id, (fmap, density) in enumerate(zip(fault_maps, densities)):
             count = int(round(density * fmap.cells))
-            injected = self._place(fmap, count, post=False)
+            injected = place_faults(self.rng, fmap, count, cfg, post=False)
             if injected:
                 self.history.append((-1, xbar_id, injected))
         return densities
@@ -94,7 +131,7 @@ class FaultInjector:
         for xbar_id in np.sort(targets):
             fmap = fault_maps[xbar_id]
             count = int(round(cfg.post_m * fmap.cells))
-            injected = self._place(fmap, count, post=True)
+            injected = place_faults(self.rng, fmap, count, cfg, post=True)
             if injected:
                 self.history.append((epoch, int(xbar_id), injected))
                 hit.append(int(xbar_id))
@@ -121,37 +158,9 @@ class FaultInjector:
             count = int(self.rng.poisson(expected)) if expected > 0 else 0
             if count <= 0:
                 continue
-            injected = self._place(fmap, count, post=True)
+            injected = place_faults(self.rng, fmap, count, self.config, post=True)
             if injected:
                 self.history.append((epoch, xbar_id, injected))
                 hit.append(xbar_id)
         return hit
 
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _place(self, fmap: FaultMap, count: int, post: bool) -> int:
-        """Place ``count`` new faults on ``fmap``; returns how many stuck."""
-        if count <= 0:
-            return 0
-        forbidden = np.flatnonzero(fmap.faulty_mask.ravel())
-        if self.config.clustered:
-            cells = clustered_cells(
-                self.rng,
-                fmap.rows,
-                fmap.cols,
-                count,
-                cluster_fraction=self.config.cluster_fraction,
-                forbidden=forbidden,
-            )
-        else:
-            cells = uniform_cells(
-                self.rng, fmap.rows, fmap.cols, count, forbidden=forbidden
-            )
-        if cells.size == 0:
-            return 0
-        p_sa0 = self.config.sa0_probability(post=post)
-        is_sa0 = self.rng.random(cells.size) < p_sa0
-        injected = fmap.inject(cells[is_sa0], FaultType.SA0)
-        injected += fmap.inject(cells[~is_sa0], FaultType.SA1)
-        return injected

@@ -108,9 +108,10 @@ def im2col(
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     # Autograd closures capture the patch matrix, so it comes from the
-    # step arena (recycled once backward is done).  In inference mode
-    # (no_grad) it dies with the layer's matmul, so it comes from the
-    # scratch pool, as the pad block, which dies inside this call, does.
+    # step arena (the conv backward releases it after its dW GEMM).  In
+    # inference mode (no_grad) it dies with the layer's matmul, so it
+    # comes from the scratch pool, as the pad block, which dies inside
+    # this call, does.
     out_shape = (n * oh * ow, c * kh * kw)
     if is_grad_enabled():
         out = step_arena().take(out_shape, x.dtype)
@@ -145,7 +146,7 @@ def col2im(
     Adds into an NHWC step-arena buffer, kernel offsets in (i, j) order,
     and returns an ``(N, C, H, W)`` view of its interior.  Nothing else
     holds the buffer, so callers may donate the view to
-    ``Tensor.accumulate_grad``; it is recycled at the next ``reset()``.
+    ``Tensor.accumulate_grad``, which then owns its release.
     """
     n, c, h, w = x_shape
     oh = conv_output_size(h, kh, stride, pad)
@@ -182,6 +183,7 @@ def relu(x: Tensor) -> Tensor:
             np.greater(x.data, 0, out=mask)
             g = arena.take(x.data.shape, x.data.dtype)
             np.multiply(grad, mask, out=g)
+            arena.release(mask)
             x.accumulate_grad(g, donate=True)
 
     return Tensor(out_data, parents=(x,), backward=bwd)
@@ -232,13 +234,23 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
             return
         # Scatter each window's gradient to its recorded offset, one
         # offset at a time, straight into an arena buffer that is then
-        # donated.
+        # donated: AND-ing the gradient's bits with all ones where the
+        # offset was recorded and zeros elsewhere writes the gradient bit
+        # for bit (-0.0 included) or +0.0.  The offsets partition the
+        # input, so every element is written exactly once.
         gx = arena.take((n, c, h, w), grad.dtype)
-        gx.fill(0.0)
-        g6 = gx.reshape(n, c, oh, kernel, ow, kernel)
+        bits = np.dtype(f"u{grad.itemsize}")
+        g6 = gx.reshape(n, c, oh, kernel, ow, kernel).view(bits)
+        gbits = grad.view(bits)
+        hit = _scratch("maxpool_hit", shape, np.bool_)
+        sel = _scratch("maxpool_sel", shape, bits)
+        ones = bits.type(np.iinfo(bits).max)
         for p in range(kernel * kernel):
             i, j = divmod(p, kernel)
-            np.copyto(g6[:, :, :, i, :, j], grad, where=arg == p)
+            np.equal(arg, p, out=hit)
+            np.multiply(hit, ones, out=sel)
+            np.bitwise_and(gbits, sel, out=g6[:, :, :, i, :, j])
+        arena.release(arg)
         x.accumulate_grad(gx, donate=True)
 
     return Tensor(out_data, parents=(x,), backward=bwd)

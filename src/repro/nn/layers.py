@@ -222,21 +222,30 @@ class Conv2d(Module):
             # A gradient in the output's NHWC memory order (batch norm
             # writes one) is the GEMM operand as it stands.
             gy = grad.transpose(0, 2, 3, 1)
+            gy_copy = None
             if not gy.flags.c_contiguous:
-                gy = arena.copy_of(gy)
+                gy = gy_copy = arena.copy_of(gy)
             gy = gy.reshape(n * oh * ow, co)
             dw2d = arena.take((co, cols.shape[1]), cols.dtype)
             np.matmul(gy.T, cols, out=dw2d)
+            # The dW GEMM was the patch matrix's last reader: the dcols
+            # buffer below, of the same shape, reuses it.
+            arena.release(cols)
+            dw_eff = dw2d
             if self.engine is not None:
-                dw2d = self.engine.gradient_weight(self.layer_key, dw2d)
-            weight.grad += dw2d.reshape(weight.data.shape)
+                dw_eff = self.engine.gradient_weight(self.layer_key, dw2d)
+            weight.grad += dw_eff.reshape(weight.data.shape)
+            arena.release(dw2d)
             if bias is not None:
                 bias.grad += gy.sum(axis=0)
             if x.requires_grad and not x.skip_grad:
                 dcols = arena.take(cols.shape, cols.dtype)
                 np.matmul(gy, w_bwd, out=dcols)
                 dx = F.col2im(dcols, x_shape, ks, ks, st, pd)
+                arena.release(dcols)
                 x.accumulate_grad(dx, donate=True)
+            if gy_copy is not None:
+                arena.release(gy_copy)
 
         if tel is not None:
             key = self.layer_key
@@ -434,6 +443,7 @@ class BatchNorm2d(Module):
         sq = arena.take_like(xd)
         np.multiply(d, d, out=sq)
         var = sq.mean(axis=axes)
+        arena.release(sq)
         self._update_stats(mean, var)
         std = np.sqrt(var + self.eps)
         std4 = std[None, :, None, None]
@@ -461,6 +471,8 @@ class BatchNorm2d(Module):
             np.multiply(xhat, mean_gx, out=v)
             np.subtract(grad, mean_g, out=t)
             np.subtract(t, v, out=v)
+            arena.release(t)
+            arena.release(xhat)
             np.multiply(gamma.data[None, :, None, None] / std4, v, out=v)
             x.accumulate_grad(v, donate=True)
 

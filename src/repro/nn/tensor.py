@@ -108,6 +108,9 @@ def step_scope():
     ``step_arena().reset()`` after every optimiser step, so each step
     replays the same deterministic sequence of buffer grants and every
     large temporary is reused across steps instead of reallocated.
+    Inside the block, :meth:`Tensor.backward` also consumes the graph it
+    runs: it recycles each non-leaf gradient once its node's backward has
+    run.
     """
     old = getattr(_MODE_TLS, "step", False)
     _MODE_TLS.step = True
@@ -120,26 +123,34 @@ def step_scope():
 class BufferArena:
     """Deterministic per-step scratch allocator for the layer hot paths.
 
-    Inside :func:`step_scope`, ``take(shape, dtype)`` hands out a buffer
-    from a per-(shape, dtype) free list and advances a cursor; ``reset()``
-    rewinds all cursors.  Within one training step every ``take`` returns
-    a *distinct* buffer (so aliasing between live temporaries is
-    impossible); across steps the same call sequence receives the same
-    warm buffers, eliminating the allocation and page-fault traffic of
-    fresh temporaries.  Buffers granted during a step stay valid until
-    the next ``reset()`` — the trainer resets only after the optimiser
-    step, so autograd closures may freely capture arena buffers.
+    Inside :func:`step_scope`, ``take(shape, dtype)`` pops a buffer from
+    the free list of its (shape, strides, dtype) key, allocating one only
+    when the list is empty, and ``release(a)`` pushes a buffer (or a view
+    of one) back once its last reader has run.  A granted buffer is never
+    granted again before it is released, so two live temporaries never
+    alias; an op releases a buffer only at a last use it can prove, and
+    everything it does not release stays valid until the next
+    ``reset()``.  ``reset()`` returns every buffer to its list in
+    allocation order, so each step replays the same sequence of grants
+    on the same warm buffers, and the arena holds about a step's largest
+    live set rather than every grant of the step.
 
-    Outside the scope every grant is a fresh array, so evaluation,
-    serving and ad hoc autograd run the same layer code and allocate
-    exactly what plain NumPy expressions would.
+    Outside the scope every grant is a fresh array and ``release`` does
+    nothing, so evaluation, serving and ad hoc autograd run the same
+    layer code and allocate exactly what plain NumPy expressions would.
     """
 
-    __slots__ = ("_pools", "_cursors")
+    __slots__ = ("_buffers", "_free", "_keys", "_granted")
 
     def __init__(self) -> None:
-        self._pools: dict[tuple, list[np.ndarray]] = {}
-        self._cursors: dict[tuple, int] = {}
+        #: key -> every buffer of that key, in allocation order.
+        self._buffers: dict[tuple, list[np.ndarray]] = {}
+        #: key -> the free buffers; the next grant pops the last one.
+        self._free: dict[tuple, list[np.ndarray]] = {}
+        #: id of every buffer the arena owns -> its key.
+        self._keys: dict[int, tuple] = {}
+        #: ids of the buffers granted and not yet released.
+        self._granted: set[int] = set()
 
     def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         if not getattr(_MODE_TLS, "step", False):
@@ -172,25 +183,46 @@ class BufferArena:
         np.copyto(buf, a)
         return buf
 
+    def release(self, a: np.ndarray) -> None:
+        """Return ``a``'s buffer to its free list: nothing reads it again
+        this step.
+
+        ``a`` may be a view of an arena buffer.  Releasing a buffer that
+        is already free raises; releasing an array the arena does not
+        own, or anything outside the step scope, does nothing.
+        """
+        if not getattr(_MODE_TLS, "step", False):
+            return
+        buf = a if a.base is None else a.base
+        # The arena keeps every buffer it owns alive, so a live id in
+        # ``_keys`` can only be that buffer.
+        key = self._keys.get(id(buf))
+        if key is None:
+            return
+        if id(buf) not in self._granted:
+            raise RuntimeError("step arena buffer released twice")
+        self._granted.remove(id(buf))
+        self._free[key].append(buf)
+
     def _grant(self, key, shape, dtype, like) -> np.ndarray:
-        pool = self._pools.get(key)
-        if pool is None:
-            pool = []
-            self._pools[key] = pool
-            self._cursors[key] = 0
-        i = self._cursors[key]
-        self._cursors[key] = i + 1
-        if i < len(pool):
-            return pool[i]
-        # order="K" replicates a permuted-dense layout (same strides).
-        buf = np.empty(shape, dtype) if like is None else np.empty_like(like, dtype)
-        pool.append(buf)
+        free = self._free.get(key)
+        if free:
+            buf = free.pop()
+        else:
+            # order="K" replicates a permuted-dense layout (same strides).
+            buf = np.empty(shape, dtype) if like is None else np.empty_like(like, dtype)
+            self._buffers.setdefault(key, []).append(buf)
+            self._free.setdefault(key, [])
+            self._keys[id(buf)] = key
+        self._granted.add(id(buf))
         return buf
 
     def reset(self) -> None:
-        """Rewind all cursors (start of a new training step)."""
-        for key in self._cursors:
-            self._cursors[key] = 0
+        """Free every buffer (start of a new training step), each list in
+        allocation order so that the next grant pops the oldest."""
+        for key, pool in self._buffers.items():
+            self._free[key] = pool[::-1]
+        self._granted.clear()
 
 
 _STEP_ARENA = BufferArena()
@@ -252,12 +284,20 @@ class Tensor:
     def accumulate_grad(self, grad: np.ndarray, donate: bool = False) -> None:
         """Add an incoming gradient contribution (creating storage lazily).
 
-        ``donate=True`` transfers ownership of ``grad`` to this tensor
-        when it is the first contribution, skipping the C-contiguous copy.
-        A donated gradient may keep the activation's memory order (as
-        ``col2im``'s NHWC view) when all its consumers are elementwise
-        (ReLU, max pooling, ``+=``); one that reaches a reduction (batch
-        norm's ``sum``/``mean``, ``_unbroadcast``) stays C-contiguous.
+        ``donate=True`` transfers ownership of ``grad`` to this tensor:
+        the first contribution is kept as it stands, skipping the
+        C-contiguous copy, and a later one is released to the step arena
+        once it has been added.  Either way the caller must not touch
+        ``grad`` again.  A donated gradient may keep the activation's
+        memory order (as ``col2im``'s NHWC view) when all its consumers
+        are elementwise (ReLU, max pooling, ``+=``); one that reaches a
+        reduction (batch norm's ``sum``/``mean``, ``_unbroadcast``) stays
+        C-contiguous.
+
+        Inside the step scope the stored gradient is an arena buffer,
+        valid until it is released or the arena is reset: ``backward``
+        releases a non-leaf's gradient once the node's own backward has
+        run, and a leaf keeps its gradient until the next ``reset()``.
         """
         if grad.shape != self.data.shape:
             raise ValueError(
@@ -267,9 +307,18 @@ class Tensor:
             self.grad = grad if donate else _STEP_ARENA.copy_of(grad)
         else:
             self.grad += grad
+            if donate:
+                _STEP_ARENA.release(grad)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Back-propagate from this tensor through the recorded tape."""
+        """Back-propagate from this tensor through the recorded tape.
+
+        Inside the step scope the run consumes the graph: once a non-leaf
+        node's backward has run, its gradient goes back to the step arena,
+        ``node.grad`` is None and its closure is dropped, so a second
+        backward through the same graph raises instead of reading
+        recycled memory.  Leaves keep their gradients.
+        """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that requires no grad")
         if grad is None:
@@ -278,10 +327,16 @@ class Tensor:
             grad = np.ones_like(self.data)
         self.accumulate_grad(np.asarray(grad, dtype=self.data.dtype))
 
+        consume = getattr(_MODE_TLS, "step", False)
         order = _topological_order(self)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if consume and node._parents:
+                if node.grad is not None:
+                    _STEP_ARENA.release(node.grad)
+                    node.grad = None
+                node._backward = _consumed
 
     def detach(self) -> "Tensor":
         """A new leaf tensor sharing the same data, cut from the graph."""
@@ -354,6 +409,14 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}{tag})"
+
+
+def _consumed(grad: np.ndarray) -> None:
+    """The closure of a node whose backward already ran in the step scope."""
+    raise RuntimeError(
+        "backward() through a graph that a step-scope backward already "
+        "consumed: its buffers went back to the step arena"
+    )
 
 
 def _as_tensor(value) -> Tensor:

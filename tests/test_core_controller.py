@@ -5,10 +5,13 @@ import pytest
 
 from repro.core.controller import (
     build_experiment,
+    inject_fault_wave,
     inject_phase_faults,
     run_experiment,
     size_chip_for_model,
 )
+from repro.faults.distribution import uniform_cells
+from repro.faults.types import FaultType
 from repro.nn.models import build_model
 from repro.utils.config import (
     ChipConfig,
@@ -79,6 +82,65 @@ class TestBuildExperiment:
         ctx = build_experiment(_tiny("none", pre_enabled=False, post_enabled=False))
         injected = inject_phase_faults(ctx, "forward", 0.01)
         assert injected > 0
+
+
+def _phase_maps(ctx, phase: str) -> list:
+    """The fault maps of every crossbar holding one phase's copies."""
+    maps = []
+    for mapping in ctx.engine.all_mappings():
+        if mapping.phase == phase:
+            for _, _, pair_id in mapping.iter_blocks():
+                pair = ctx.chip.pair(pair_id)
+                maps += [pair.pos.fault_map, pair.neg.fault_map]
+    return maps
+
+
+def _replay_uniform(ctx, stream: str, maps: list, before: list, density: float,
+                    post: bool) -> None:
+    """Replay ``stream`` as uniform placement onto ``before`` (copies of
+    ``maps`` from before the injection) and require identical cells."""
+    rng = ctx.rng_hub.fresh(stream)
+    sa0_p = ctx.config.faults.sa0_probability(post=post)
+    for want, got in zip(before, maps):
+        forbidden = np.flatnonzero(want.faulty_mask.ravel())
+        count = int(round(density * want.cells))
+        cells = uniform_cells(rng, want.rows, want.cols, count, forbidden=forbidden)
+        is_sa0 = rng.random(cells.size) < sa0_p
+        want.inject(cells[is_sa0], FaultType.SA0)
+        want.inject(cells[~is_sa0], FaultType.SA1)
+        np.testing.assert_array_equal(got.codes, want.codes)
+
+
+class TestFaultPlacementSettings:
+    """Phase faults and the chaos wave place cells as the fault config's
+    spatial settings say, as the pre- and post-deployment injector does."""
+
+    def test_unclustered_phase_faults_are_uniform_draws(self):
+        ctx = build_experiment(_tiny("none", pre_enabled=False, post_enabled=False,
+                                     clustered=False))
+        maps = _phase_maps(ctx, "backward")
+        before = [fmap.copy() for fmap in maps]
+        assert inject_phase_faults(ctx, "backward", 0.02) > 0
+        _replay_uniform(ctx, "phase-faults", maps, before, 0.02, post=False)
+
+    def test_phase_faults_follow_cluster_fraction(self):
+        placed = []
+        for fraction in (0.0, 1.0):
+            ctx = build_experiment(_tiny("none", pre_enabled=False,
+                                         post_enabled=False,
+                                         cluster_fraction=fraction))
+            inject_phase_faults(ctx, "forward", 0.02)
+            placed.append([f.codes.copy() for f in _phase_maps(ctx, "forward")])
+        assert any(not np.array_equal(a, b) for a, b in zip(*placed))
+
+    def test_wave_follows_cluster_fraction(self):
+        # No cell in the cluster window: the wave draws a uniform placement.
+        ctx = build_experiment(_tiny("none", post_enabled=False,
+                                     cluster_fraction=0.0, wave_density=0.03))
+        maps = [xb.fault_map for xb in ctx.chip.crossbars]
+        before = [fmap.copy() for fmap in maps]
+        assert inject_fault_wave(ctx, 0) > 0
+        _replay_uniform(ctx, "fault-wave", maps, before, 0.03, post=True)
 
 
 class TestRunExperiment:

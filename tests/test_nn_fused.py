@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.controller import build_experiment
+from repro.core.controller import build_experiment, run_experiment
 from repro.faults.types import FaultType
 from repro.nn import functional as F
 from repro.nn.fault_aware import CrossbarEngine
@@ -29,7 +29,15 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
 )
-from repro.nn.tensor import Tensor, default_dtype, no_grad, step_arena, step_scope
+from repro.nn import tensor as tensor_mod
+from repro.nn.tensor import (
+    BufferArena,
+    Tensor,
+    default_dtype,
+    no_grad,
+    step_arena,
+    step_scope,
+)
 from repro.reram.chip import Chip
 from repro.utils.config import (
     ChipConfig,
@@ -466,6 +474,30 @@ class TestMaxPoolTies:
                     np.testing.assert_array_equal(xt.grad, maxpool_oracle(x, grad, kernel)[1])
                     step_arena().reset()
 
+    @_IN_STEP
+    @_DTYPES
+    def test_gradient_bits_land_unchanged(self, dtype, in_step):
+        """Negative and -0.0 gradients keep their bits at their window's
+        offset and every other element is +0.0, for NHWC-memory and
+        C-contiguous inputs in turn, each twice: ``array_equal`` cannot
+        see the sign of a zero, so the bit patterns are compared."""
+        rng = np.random.default_rng(29)
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        with default_dtype(dtype):
+            pool = MaxPool2d(2)
+            with step_scope() if in_step else contextlib.nullcontext():
+                for nchw in (False, True, False, True):
+                    x = _input(rng, (2, 3, 4, 6), dtype, nchw)
+                    xt = Tensor(x, requires_grad=True)
+                    out = pool(xt)
+                    grad = -np.abs(rng.normal(size=out.shape)).astype(dtype)
+                    grad[:, 1] = -0.0
+                    out.backward(grad)
+                    want = maxpool_oracle(x, grad, 2)[1]
+                    assert np.signbit(want).sum() == grad.size
+                    np.testing.assert_array_equal(xt.grad.view(bits), want.view(bits))
+                    step_arena().reset()
+
 
 class TestLayerChains:
     """Gradients handed between layers in the activations' own memory
@@ -548,6 +580,179 @@ class TestLayerChains:
                         short.weight.grad, _accumulated(short.weight, dw2)
                     )
                     step_arena().reset()
+
+
+# --------------------------------------------------------------------- #
+# the recycled step arena
+# --------------------------------------------------------------------- #
+def _cell(model: str, n_train: int, epochs: int = 1, seed: int = 5) -> ExperimentConfig:
+    """The perfbench training cell's recipe (32x32 crossbars, width 1/8,
+    batches of 32, pre-deployment and post-epoch faults, Remap-D)."""
+    return ExperimentConfig(
+        train=TrainConfig(
+            model=model, epochs=epochs, batch_size=32, n_train=n_train,
+            n_test=32, width_mult=0.125, dtype="float32",
+        ),
+        chip=ChipConfig(crossbar=CrossbarConfig(rows=32, cols=32)),
+        faults=FaultConfig(post_m=0.01, post_n=0.02),
+        policy="remap-d",
+        remap_threshold=0.001,
+        seed=seed,
+    )
+
+
+def _poison(buf: np.ndarray) -> None:
+    """NaN over a float buffer, 0xFF bytes over an integer or bool one."""
+    if buf.dtype.kind == "f":
+        buf.fill(np.nan)
+    else:
+        buf.view(np.dtype(f"u{buf.itemsize}")).fill(np.iinfo(f"u{buf.itemsize}").max)
+
+
+def _held(arena: BufferArena) -> tuple[int, int]:
+    """How many buffers, and how many bytes, the arena holds."""
+    bufs = [buf for pool in arena._buffers.values() for buf in pool]
+    return len(bufs), sum(buf.nbytes for buf in bufs)
+
+
+@pytest.fixture
+def fresh_arena(monkeypatch):
+    """An empty step arena behind ``step_arena()`` for one test."""
+    arena = BufferArena()
+    monkeypatch.setattr(tensor_mod, "_STEP_ARENA", arena)
+    return arena
+
+
+def _train_steps(model: str, poison: bool, monkeypatch) -> list:
+    """One epoch of three steps; returns the mean loss, every weight and
+    gradient, and the batch-norm running statistics."""
+    if poison:
+        release, reset = BufferArena.release, BufferArena.reset
+
+        def poisoned_release(self, a):
+            buf = a if a.base is None else a.base
+            granted = id(buf) in self._granted
+            release(self, a)
+            if granted and id(buf) not in self._granted:
+                _poison(buf)
+
+        def poisoned_reset(self):
+            reset(self)
+            for pool in self._buffers.values():
+                for buf in pool:
+                    _poison(buf)
+
+        monkeypatch.setattr(BufferArena, "release", poisoned_release)
+        monkeypatch.setattr(BufferArena, "reset", poisoned_reset)
+    ctx = build_experiment(_cell(model, n_train=96))
+    assert ctx.chip.fault_codes.any()
+    loss = ctx.trainer.train_epoch(0)
+    monkeypatch.undo()
+    state = [loss]
+    for p in ctx.model.parameters():
+        state += [p.data.copy(), p.grad.copy()]
+    for _, m in ctx.model.named_modules():
+        if isinstance(m, BatchNorm2d):
+            state += [m.running_mean.copy(), m.running_var.copy()]
+    return state
+
+
+class TestRecycledArena:
+    """Buffers released at their last use come back as later grants; no
+    op may read one after releasing it, and each step replays the same
+    grants."""
+
+    @pytest.mark.parametrize("model", ["vgg11", "resnet12", "squeezenet"])
+    def test_poisoned_releases_change_no_bit(self, model, monkeypatch):
+        # Every released buffer, and at each reset every buffer, is filled
+        # with NaN (0xFF bytes for integer and bool buffers): a read after
+        # release, or of a recycled buffer before it is written, changes
+        # the run.
+        clean = _train_steps(model, False, monkeypatch)
+        poisoned = _train_steps(model, True, monkeypatch)
+        assert np.isfinite(clean[0])
+        assert len(clean) == len(poisoned)
+        for want, got in zip(clean, poisoned):
+            np.testing.assert_array_equal(got, want)
+
+    def test_every_step_replays_the_same_grants(self, fresh_arena, monkeypatch):
+        steps = [[]]
+        grant, reset = BufferArena._grant, BufferArena.reset
+
+        def recording_grant(self, *args):
+            buf = grant(self, *args)
+            steps[-1].append(id(buf))
+            return buf
+
+        def recording_reset(self):
+            reset(self)
+            steps.append([])
+
+        monkeypatch.setattr(BufferArena, "_grant", recording_grant)
+        monkeypatch.setattr(BufferArena, "reset", recording_reset)
+        ctx = build_experiment(_cell("resnet12", n_train=96))
+        ctx.trainer.train_epoch(0)
+        assert steps[-1] == []
+        first, *rest = steps[:-1]
+        assert len(rest) == 2 and len(set(first)) < len(first)
+        for seq in rest:
+            assert seq == first
+
+    def test_double_release_raises(self, fresh_arena):
+        with step_scope():
+            buf = fresh_arena.take((4, 5), np.float32)
+            fresh_arena.release(buf.T)
+            with pytest.raises(RuntimeError, match="released twice"):
+                fresh_arena.release(buf)
+            assert fresh_arena.take((4, 5), np.float32) is buf
+            fresh_arena.reset()
+            with pytest.raises(RuntimeError, match="released twice"):
+                fresh_arena.release(buf)
+
+    def test_foreign_and_out_of_scope_releases_do_nothing(self, fresh_arena):
+        with step_scope():
+            held = fresh_arena.take((3, 3), np.float64)
+            foreign = np.empty((3, 3))
+            fresh_arena.release(foreign)
+            fresh_arena.release(foreign[1:])
+            assert fresh_arena.take((3, 3), np.float64) is not held
+        fresh_arena.release(held)
+        assert _held(fresh_arena) == (2, 2 * held.nbytes)
+        with step_scope():
+            assert fresh_arena.take((3, 3), np.float64) is not held
+        outside = fresh_arena.take((3, 3), np.float64)
+        fresh_arena.release(outside)
+        assert _held(fresh_arena) == (3, 3 * held.nbytes)
+
+    def test_step_backward_consumes_its_graph(self, fresh_arena):
+        rng = np.random.default_rng(31)
+        conv, bn = Conv2d(3, 4, 3, padding=1, rng=rng), BatchNorm2d(4)
+        x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+        with step_scope():
+            hidden = bn(conv(x))
+            out = F.relu(hidden)
+            out.backward(np.ones(out.shape))
+            # A leaf keeps its gradient; a non-leaf's went back to the arena.
+            assert x.grad is not None and np.isfinite(x.grad).all()
+            assert hidden.grad is None and out.grad is None
+            with pytest.raises(RuntimeError, match="consumed"):
+                out.backward(np.ones(out.shape))
+            fresh_arena.reset()
+        # Outside the step scope a graph is not consumed.
+        hidden = bn(conv(x))
+        out = F.relu(hidden)
+        out.backward(np.ones(out.shape))
+        assert hidden.grad is not None
+        out.backward(np.ones(out.shape))
+
+    def test_two_epoch_cell_holds_the_live_set(self, fresh_arena):
+        # The perfbench train cell, two epochs: 73.9 MB in 108 buffers
+        # (the step's peak live set is 61.9 MB), where keeping every grant
+        # of a step held 133.8 MB in 186.
+        run_experiment(_cell("resnet12", n_train=128, epochs=2, seed=1))
+        buffers, nbytes = _held(fresh_arena)
+        assert nbytes < 80e6
+        assert buffers < 120
 
 
 # --------------------------------------------------------------------- #
