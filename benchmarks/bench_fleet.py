@@ -4,9 +4,9 @@ Subjects a training run to a spare-exhausting chaos fault wave (one
 chip's crossbars saturated with extra stuck cells after epoch 0) under
 two hardware budgets:
 
-* ``chips=1`` — the classic single chip.  Every spare pair is as dirty
-  as the senders, so Remap-D has nowhere left to move critical tasks:
-  the chip is *stranded* with the wave's faults under live tasks;
+* ``chips=1`` — a fleet of one.  Every spare pair is as dirty as the
+  senders, so Remap-D has nowhere left to move critical tasks: the chip
+  is *stranded* with the wave's faults under live tasks;
 * ``chips=2`` — the same model pipeline-partitioned over a two-chip
   fleet.  The wave hits chip 0 only; the extended remap protocol evicts
   the critical tasks over the interconnect to chip 1's clean pairs,

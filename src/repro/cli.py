@@ -166,9 +166,10 @@ def _experiment_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", choices=MODEL_NAMES, default="resnet12")
     _training_args(parser)
     parser.add_argument("--chips", type=int, default=1,
-                        help="shard the model across N simulated chips "
-                             "(pipeline placement + cross-chip eviction; "
-                             "1 = the classic single-chip path)")
+                        help="shard the model across a fleet of N "
+                             "simulated chips (pipeline placement + "
+                             "cross-chip eviction; 1 = a fleet of one, the "
+                             "paper's single chip)")
     parser.add_argument("--seed", type=int, default=1)
     _output_args(parser)
 

@@ -3,8 +3,8 @@
 ``run_experiment`` wires the full stack together the way the paper's
 methodology does:
 
-1. build the synthetic dataset, the CNN and an RCS chip sized to hold
-   both crossbar copies of every layer;
+1. build the synthetic dataset, the CNN and a fleet of RCS chips (one by
+   default) sized to hold both crossbar copies of every layer;
 2. inject pre-deployment (manufacturing) faults — non-uniform, clustered;
 3. train; after *every* epoch: record weight-update wear, inject
    post-deployment (endurance) faults, run the BIST scan if the policy
@@ -14,9 +14,8 @@ methodology does:
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,17 +26,15 @@ from repro.core.remap_protocol import RemapPlan
 from repro.faults.injector import FaultInjector, place_faults
 from repro.nn.data import SyntheticDataset, cached_dataset
 from repro.nn.fault_aware import CrossbarEngine
-from repro.nn.layers import Conv2d, Linear, Module
+from repro.nn.layers import Module
 from repro.nn.models import build_model
 from repro.nn.parallel import DataParallelTrainer, resolve_train_workers
 from repro.fleet import ChipFleet, plan_placement
 from repro.nn.tensor import set_default_dtype
 from repro.nn.trainer import Trainer, TrainResult
-from repro.reram.chip import Chip
-from repro.reram.mapping import blocks_needed
 from repro.telemetry import Telemetry
 from repro.telemetry.health import sample_health
-from repro.utils.config import ChipConfig, ExperimentConfig
+from repro.utils.config import ExperimentConfig
 from repro.utils.rng import RngHub
 
 __all__ = [
@@ -48,7 +45,6 @@ __all__ = [
     "run_experiment",
     "inject_fault_wave",
     "inject_phase_faults",
-    "size_chip_for_model",
 ]
 
 
@@ -60,9 +56,9 @@ class ExperimentContext:
     rng_hub: RngHub
     dataset: SyntheticDataset
     model: Module
-    #: the hardware target: a single chip, or a ChipFleet presenting the
-    #: same surface when ``config.chips > 1``.
-    chip: "Chip | ChipFleet"
+    #: the hardware target: ``config.chips`` pipeline-stage chips (one by
+    #: default) behind the fleet's global pair/tile/crossbar ids.
+    chip: ChipFleet
     engine: CrossbarEngine
     injector: FaultInjector
     policy: Policy
@@ -90,7 +86,7 @@ class ExperimentResult:
     mean_chip_density: float
     max_pair_density: float
     wall_seconds: float
-    #: cross-chip task migrations (0 on a single chip).
+    #: cross-chip task migrations (0 on a fleet of one).
     num_evictions: int = 0
     #: aggregated telemetry summary (``Telemetry.summary()``): counters,
     #: span totals and per-kind event counts for the whole run.
@@ -105,32 +101,6 @@ class ExperimentResult:
             self.num_remaps,
             round(self.mean_chip_density, 5),
         ]
-
-
-def size_chip_for_model(
-    model: Module, base: ChipConfig, slack: float = 2.0
-) -> ChipConfig:
-    """Scale ``crossbars_per_ima`` so both copies of every layer fit.
-
-    Keeps the tile/mesh geometry of ``base`` (the NoC the paper evaluates)
-    and grows only the per-IMA crossbar count, with ``slack`` headroom so
-    Remap-D has non-sender pairs to receive tasks.
-    """
-    rows = base.crossbar.rows
-    cols = base.crossbar.cols
-    needed = 0
-    for _, module in model.named_modules():
-        if isinstance(module, (Conv2d, Linear)):
-            out_dim, in_dim = module.matrix_shape
-            fr, fc = blocks_needed(in_dim, out_dim, rows, cols)
-            br, bc = blocks_needed(out_dim, in_dim, rows, cols)
-            needed += fr * fc + br * bc
-    if needed == 0:
-        raise ValueError("model has no MVM layers")
-    target_pairs = int(math.ceil(needed * slack))
-    pairs_per_unit = base.num_tiles * base.imas_per_tile  # pairs per cpi=2
-    cpi = 2 * max(1, math.ceil(target_pairs / pairs_per_unit))
-    return replace(base, crossbars_per_ima=cpi)
 
 
 def inject_phase_faults(ctx: ExperimentContext, phase: str, density: float) -> int:
@@ -164,17 +134,14 @@ def inject_fault_wave(ctx: ExperimentContext, epoch: int) -> int:
     Saturates every crossbar of ``faults.wave_chip`` with
     ``faults.wave_density`` extra stuck cells — the spare-exhaustion
     stress that forces cross-chip evictions in a fleet (and strands a
-    standalone chip, the comparison ``bench_fleet`` records).  Draws from
+    fleet of one, the comparison ``bench_fleet`` records).  Draws from
     its own ``"fault-wave"`` stream, created only when a wave is
     configured, so unconfigured runs consume no extra randomness.
     """
     fc = ctx.config.faults
     rng = ctx.rng_hub.stream("fault-wave")
-    chips = getattr(ctx.chip, "chips", None)
-    if chips is not None:
-        target = chips[min(fc.wave_chip, len(chips) - 1)]
-    else:
-        target = ctx.chip
+    chips = ctx.chip.chips
+    target = chips[min(fc.wave_chip, len(chips) - 1)]
     total = 0
     for xb in target.crossbars:
         fmap = xb.fault_map
@@ -217,24 +184,18 @@ def build_experiment(
     model = build_model(
         tc.model, dataset.num_classes, tc.width_mult, hub.stream("init")
     )
-    if config.chips > 1:
-        # Fleet path: pipeline-partition the layers over N chips.  The
-        # placement draws no randomness, so the RNG stream consumption
-        # below is identical to the single-chip path.
-        placement = plan_placement(model, config.chips, config.chip)
-        chip = ChipFleet(config.chip, placement, slack=config.chip_slack)
-        tel.event(
-            "fleet_built",
-            chips=config.chips,
-            stage_layers=[list(s) for s in placement.stages],
-            stage_pairs=[
-                placement.stage_demand(c) for c in range(config.chips)
-            ],
-            chip_pairs=[c.num_pairs for c in chip.chips],
-        )
-    else:
-        # Single chip: the pre-fleet code path, bit-identical to it.
-        chip = Chip(size_chip_for_model(model, config.chip, slack=config.chip_slack))
+    # Pipeline-partition the layers over ``config.chips`` chips (the whole
+    # model on one chip by default).  The placement draws no randomness,
+    # so the RNG stream consumption below does not depend on the count.
+    placement = plan_placement(model, config.chips, config.chip)
+    chip = ChipFleet(config.chip, placement, slack=config.chip_slack)
+    tel.event(
+        "fleet_built",
+        chips=config.chips,
+        stage_layers=[list(s) for s in placement.stages],
+        stage_pairs=[placement.stage_demand(c) for c in range(config.chips)],
+        chip_pairs=[c.num_pairs for c in chip.chips],
+    )
     chip.telemetry = tel
     engine = CrossbarEngine(chip).bind(model)
     injector = FaultInjector(config.faults, hub.stream("faults"))
@@ -273,15 +234,14 @@ def build_experiment(
             )
         )
     engine.telemetry = tel
-    if isinstance(chip, ChipFleet):
-        # Per-epoch history records carry the fleet's cumulative eviction
-        # and interconnect counters — the report's migration timeline
-        # reads the deltas between epochs.
-        trainer.epoch_metrics = lambda: {
-            "evictions": chip.evictions,
-            "interchip_flits": chip.interconnect.total_flits,
-            "interchip_cycles": chip.interconnect.total_cycles,
-        }
+    # Per-epoch history records carry the fleet's cumulative eviction and
+    # interconnect counters — the report's migration timeline reads the
+    # deltas between epochs.
+    trainer.epoch_metrics = lambda: {
+        "evictions": chip.evictions,
+        "interchip_flits": chip.interconnect.total_flits,
+        "interchip_cycles": chip.interconnect.total_cycles,
+    }
     ctx = ExperimentContext(
         config=config,
         rng_hub=hub,
@@ -412,13 +372,6 @@ def run_experiment(
     for name, value in ctx.engine.cache_stats().items():
         tel.count(f"engine.cache_{name}", value)
     num_remaps = sum(plan.num_remaps for _, plan in ctx.remap_plans)
-    fleet_extra = {}
-    if isinstance(chip, ChipFleet):
-        fleet_extra = {
-            "chips": chip.num_chips,
-            "evictions": chip.evictions,
-            "interchip_flits": chip.interconnect.total_flits,
-        }
     tel.event(
         "experiment_done",
         policy=policy.name,
@@ -427,7 +380,9 @@ def run_experiment(
         num_remaps=num_remaps,
         mean_chip_density=float(pair_densities.mean()),
         wall_seconds=round(time.perf_counter() - t0, 3),
-        **fleet_extra,
+        chips=chip.num_chips,
+        evictions=chip.evictions,
+        interchip_flits=chip.interconnect.total_flits,
     )
     return ExperimentResult(
         policy=policy.name,
@@ -440,6 +395,6 @@ def run_experiment(
         mean_chip_density=float(pair_densities.mean()),
         max_pair_density=float(pair_densities.max()),
         wall_seconds=time.perf_counter() - t0,
-        num_evictions=getattr(chip, "evictions", 0),
+        num_evictions=chip.evictions,
         telemetry=tel.summary(),
     )

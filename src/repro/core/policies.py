@@ -22,7 +22,6 @@ import time
 
 import numpy as np
 
-from repro.core.remap_protocol import RemapProtocol
 from repro.core.tasks import enumerate_tasks, group_tasks_by_chip
 from repro.ecc.an_code import AN_CODE_AREA_OVERHEAD, column_correctable_mask
 from repro.nn.layers import Conv2d, Linear
@@ -153,17 +152,13 @@ class StaticMappingPolicy(Policy):
         mappings = ctx.engine.all_mappings()
         tasks = enumerate_tasks(mappings)
         densities = ctx.chip.true_pair_densities()
-        # On a fleet the shuffle stays chip-local: static mapping models a
-        # per-chip manufacturing-time pass, and silently teleporting a
-        # task's weights to another chip would dodge the transfer cost the
-        # fleet charges for real migrations.
-        chips = getattr(ctx.chip, "chips", None)
-        if chips is None:
-            groups = [tasks]
-        else:
-            by_chip = group_tasks_by_chip(tasks, ctx.chip)
-            groups = [by_chip.get(c.chip_id, []) for c in chips]
-        for group in groups:
+        # The shuffle stays chip-local: static mapping models a per-chip
+        # manufacturing-time pass, and silently teleporting a task's
+        # weights to another chip would dodge the transfer cost the fleet
+        # charges for real migrations.
+        by_chip = group_tasks_by_chip(tasks, ctx.chip)
+        for chip in ctx.chip.chips:
+            group = by_chip.get(chip.chip_id, [])
             if not group:
                 continue
             pair_ids = [t.pair_id for t in group]
@@ -268,19 +263,15 @@ class RemapDPolicy(Policy):
         self.threshold = threshold
         self.phase_priority = phase_priority
         self.receiver_rule = receiver_rule
-        self.protocol: RemapProtocol | None = None
+        self.protocol = None
 
     def setup(self, ctx) -> None:
         # Deferred import: repro.fleet builds on the core protocol, so a
-        # module-level import here would be circular.
-        from repro.fleet import ChipFleet, FleetRemapProtocol
+        # module-level import here would be circular.  The paper's
+        # protocol runs unchanged on every member chip inside it.
+        from repro.fleet import FleetRemapProtocol
 
-        protocol_cls = (
-            FleetRemapProtocol
-            if isinstance(ctx.chip, ChipFleet)
-            else RemapProtocol
-        )
-        self.protocol = protocol_cls(
+        self.protocol = FleetRemapProtocol(
             ctx.chip,
             threshold=self.threshold,
             phase_priority=self.phase_priority,
@@ -320,18 +311,13 @@ class RemapDPolicy(Policy):
         for decision in plan.decisions:
             tel.observe("remap.hops", decision.hops)
         ctx.remap_plans.append((epoch, plan))
-        evictions = getattr(plan, "evictions", None)
-        fleet_extra = (
-            {"evictions": len(evictions), "stranded": len(plan.stranded)}
-            if evictions is not None
-            else {}
-        )
         tel.event(
             "remap_planned",
             epoch=epoch,
             num_remaps=plan.num_remaps,
             senders=len(plan.sender_tiles),
-            **fleet_extra,
+            evictions=len(plan.evictions),
+            stranded=len(plan.stranded),
         )
         tel.count("remaps", plan.num_remaps)
         tel.count("remap_passes")

@@ -1,4 +1,4 @@
-"""Multi-chip fleet: shard one model across N simulated RCS chips.
+"""Chip fleets: shard one model across N >= 1 simulated RCS chips.
 
 The paper's remap protocol is strictly chip-local; once a chip's spare
 pairs run out it is stranded.  This package lifts the one-chip assumption:
@@ -9,16 +9,18 @@ pairs run out it is stranded.  This package lifts the one-chip assumption:
   off-chip links on a mesh, per-link flit/latency accounting kept separate
   from intra-chip NoC hops);
 * :mod:`repro.fleet.chipfleet` — :class:`ChipFleet`, which owns the member
-  chips and presents the single-chip surface (global pair/tile/crossbar
-  ids, fault maps, wear, health) to the unchanged controller/engine/BIST
-  stack;
+  chips and presents their fleet-wide views (global pair/tile/crossbar
+  ids, fault maps, wear, health) to the controller/engine/BIST stack;
 * :mod:`repro.fleet.remap` — :class:`FleetRemapProtocol`, the paper's
   protocol per chip plus a cross-chip eviction path triggered by
   :class:`~repro.reram.chip.SpareExhaustedError` (or by every local pair
   being dirtier than the sender).
 
-``ExperimentConfig.chips == 1`` bypasses all of this: the single-chip
-stack is bit-identical to the pre-fleet code path.
+Every experiment builds a :class:`ChipFleet`.  ``ExperimentConfig.chips
+== 1`` (the default) is a fleet of one: the whole model on one chip, the
+paper's protocol on that chip, and an eviction pass that finds no other
+chip and reports the chip's unmatched senders as stranded.  Its runs are
+bit-identical to the recorded single-chip golden run.
 """
 
 from repro.fleet.chipfleet import ChipFleet

@@ -1,12 +1,14 @@
-""":class:`ChipFleet`: N chips presenting the single-chip surface.
+""":class:`ChipFleet`: the hardware target of every experiment.
 
 The fleet owns its member :class:`~repro.reram.chip.Chip` instances (each
 sized for its pipeline stage, each with globally-offset pair / tile /
 crossbar / router ids) plus the :class:`~repro.fleet.interconnect
-.Interconnect` between them, and duck-types the chip interface the rest of
-the stack consumes — ``fault_maps``, ``crossbars``, ``pair()``, ``wear``,
-``record_update_writes`` ... — so the controller, the crossbar engine, the
-BIST scanner and the health monitor run unchanged on a fleet.
+.Interconnect` between them.  A run with ``ExperimentConfig.chips == 1``
+is a fleet of one.  The fleet presents what the controller, the crossbar
+engine, the BIST scanner and the health monitor read fleet-wide —
+``fault_maps``, ``crossbars``, ``pair()``, ``wear``,
+``record_update_writes`` ... — while the remap protocol moves and swaps
+tasks on the member chips themselves.
 
 Global ids are contiguous: chip 0 holds pairs ``[0, n0)``, chip 1 holds
 ``[n0, n0+n1)`` and so on, which keeps every array indexed by pair or
@@ -40,23 +42,25 @@ class FleetWear:
     fleet through this without knowing chips exist.
     """
 
-    def __init__(self, fleet: "ChipFleet"):
-        self._fleet = fleet
+    def __init__(self, chips: list[Chip]):
+        # The member list, not the fleet: a back-reference would make every
+        # fleet a reference cycle that only a full gc pass frees.
+        self._chips = chips
 
     @property
     def writes(self) -> np.ndarray:
-        return np.concatenate([c.wear.writes for c in self._fleet.chips])
+        return np.concatenate([c.wear.writes for c in self._chips])
 
     @property
     def num_crossbars(self) -> int:
-        return sum(c.wear.num_crossbars for c in self._fleet.chips)
+        return sum(c.wear.num_crossbars for c in self._chips)
 
     def record(self, crossbar_ids: np.ndarray | list[int], count: int = 1) -> None:
         """Route global crossbar ids to their chips' trackers."""
         ids = np.asarray(crossbar_ids, dtype=np.int64)
         if ids.size == 0:
             return
-        for chip in self._fleet.chips:
+        for chip in self._chips:
             lo = chip.crossbar_base
             hi = lo + chip.num_crossbars
             local = ids[(ids >= lo) & (ids < hi)] - lo
@@ -72,7 +76,7 @@ class FleetWear:
 
 
 class ChipFleet:
-    """N pipeline-stage chips plus their interconnect, as one 'chip'."""
+    """N >= 1 pipeline-stage chips plus their interconnect."""
 
     def __init__(
         self,
@@ -104,7 +108,7 @@ class ChipFleet:
         #: first member's config; per-layer allocation uses each member's.
         self.config = self.chips[0].config
         self.interconnect = Interconnect(placement.num_chips)
-        self.wear = FleetWear(self)
+        self.wear = FleetWear(self.chips)
         self.evictions = 0
         self._telemetry = null_telemetry()
         # Static concatenations (chips never grow after construction).
@@ -163,7 +167,7 @@ class ChipFleet:
         return self.placement.chip_of_layer(name)
 
     # ------------------------------------------------------------------ #
-    # the single-chip surface (duck-typed Chip interface)
+    # fleet-wide views
     # ------------------------------------------------------------------ #
     @property
     def num_crossbars(self) -> int:
@@ -182,18 +186,6 @@ class ChipFleet:
         return [m for c in self.chips for m in c.mappings]
 
     @property
-    def spare_pair_ids(self) -> list[int]:
-        return [pid for c in self.chips for pid in c.spare_pair_ids]
-
-    @property
-    def task_moves(self) -> int:
-        return sum(c.task_moves for c in self.chips)
-
-    @property
-    def task_swaps(self) -> int:
-        return sum(c.task_swaps for c in self.chips)
-
-    @property
     def fault_version(self) -> int:
         """Monotonic fleet fault version (sum of the members' versions)."""
         return sum(c.fault_version for c in self.chips)
@@ -204,37 +196,6 @@ class ChipFleet:
 
     def pair(self, pair_id: int) -> CrossbarPair:
         return self.chip_of_pair(pair_id).pair(pair_id)
-
-    def tile_of_pair(self, pair_id: int) -> int:
-        return self.pair(pair_id).tile_id
-
-    def router_of_tile(self, tile_id: int) -> int:
-        return self.chip_of_tile(tile_id).router_of_tile(tile_id)
-
-    def hop_count(self, tile_a: int, tile_b: int) -> int:
-        """Intra-chip NoC hops, or the cross-chip equivalent distance.
-
-        Same chip: the member's own hop count.  Cross-chip: hops from each
-        tile to its chip's gateway router (mesh corner) plus the fleet-link
-        distance weighted by the inter-chip link latency — one fleet hop
-        'costs' ``link_latency`` intra-chip hops, so distance comparisons
-        (the remap protocol's nearest-receiver rule) stay meaningful.
-        """
-        ca = self.chip_of_tile(tile_a)
-        cb = self.chip_of_tile(tile_b)
-        if ca is cb:
-            return ca.hop_count(tile_a, tile_b)
-        gateway_a = ca.tiles[0].tile_id
-        gateway_b = cb.tiles[0].tile_id
-        fleet_hops = self.interconnect.chip_distance(ca.chip_id, cb.chip_id)
-        return (
-            ca.hop_count(tile_a, gateway_a)
-            + fleet_hops * self.interconnect.link_latency
-            + cb.hop_count(gateway_b, tile_b)
-        )
-
-    def pairs_remaining(self) -> int:
-        return sum(c.pairs_remaining() for c in self.chips)
 
     def idle_pair_ids(self) -> list[int]:
         """Fleet-wide idle pairs, computed against *global* occupancy.
@@ -265,27 +226,14 @@ class ChipFleet:
     def record_update_writes(self, count: int = 1) -> None:
         """Record weight-update wear on every mapped crossbar, fleet-wide.
 
-        Resolves each block to its *hosting* chip (evictions move blocks
-        across chips), so wear lands on the tracker of the chip whose
-        devices are actually written.
+        Each block's pair resolves to the crossbars of its *hosting* chip
+        (evictions move blocks across chips), so wear lands on the tracker
+        of the chip whose devices are actually written.
         """
-        per_chip: list[list[int]] = [[] for _ in self.chips]
-        for mapping in self.mappings:
-            for _, _, pair_id in mapping.iter_blocks():
-                chip = self.chip_of_pair(pair_id)
-                per_chip[chip.chip_id].extend(
-                    xb_id - chip.crossbar_base
-                    for xb_id in chip.pair(pair_id).crossbar_ids()
-                )
-        for chip, ids in zip(self.chips, per_chip):
-            if ids:
-                chip.wear.record(np.asarray(ids, dtype=np.int64), count)
-
-    def move_task(
-        self, mapping: LayerCopyMapping, block: tuple[int, int], target_pair: int
-    ) -> None:
-        """Intra-chip move (delegated); cross-chip moves use migrate_task."""
-        self.chip_of_pair(target_pair).move_task(mapping, block, target_pair)
+        mappings = self.mappings
+        if mappings:
+            pairs = np.concatenate([m.pair_ids.ravel() for m in mappings])
+            self.wear.record(self.pair_crossbars[pairs].ravel(), count)
 
     def migrate_task(
         self,
@@ -337,25 +285,6 @@ class ChipFleet:
         )
         self._telemetry.count("fleet.evictions")
         return cycles, flits
-
-    def swap_tasks(
-        self,
-        mapping_a: LayerCopyMapping,
-        block_a: tuple[int, int],
-        mapping_b: LayerCopyMapping,
-        block_b: tuple[int, int],
-    ) -> None:
-        """Intra-chip swap (both pairs must sit on the same chip)."""
-        pa = int(mapping_a.pair_ids[block_a])
-        pb = int(mapping_b.pair_ids[block_b])
-        chip_a = self.chip_of_pair(pa)
-        chip_b = self.chip_of_pair(pb)
-        if chip_a is not chip_b:
-            raise ValueError(
-                f"swap_tasks crosses chips ({chip_a.chip_id} vs "
-                f"{chip_b.chip_id}); cross-chip movement is migrate_task"
-            )
-        chip_a.swap_tasks(mapping_a, block_a, mapping_b, block_b)
 
     # ------------------------------------------------------------------ #
     # densities

@@ -32,8 +32,8 @@ def layer_pair_demands(
     """``(layer name, crossbar pairs needed)`` per MVM layer, model order.
 
     Demand counts both copies the engine will allocate (forward stores
-    ``W^T``, backward stores ``W``), matching
-    :func:`~repro.core.controller.size_chip_for_model`'s accounting.
+    ``W^T``, backward stores ``W``); this is the only demand count, and
+    :func:`stage_chip_config` sizes every chip from it.
     """
     rows = chip_config.crossbar.rows
     cols = chip_config.crossbar.cols
@@ -133,10 +133,10 @@ def stage_chip_config(
 ) -> ChipConfig:
     """Size one fleet chip for its stage's pair demand.
 
-    Same formula as :func:`~repro.core.controller.size_chip_for_model`
-    (kept in sync by tests): the tile/mesh geometry of ``base`` is
-    preserved and only ``crossbars_per_ima`` grows, with ``slack``
-    headroom so the local remap protocol has receiver pairs.
+    The only chip-sizing formula (a fleet of one sizes its chip for the
+    whole model): the tile/mesh geometry of ``base`` is preserved and
+    only ``crossbars_per_ima`` grows, with ``slack`` headroom so the
+    local remap protocol has receiver pairs.
     """
     if stage_pairs <= 0:
         raise ValueError("stage_pairs must be positive")

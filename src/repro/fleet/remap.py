@@ -17,7 +17,8 @@ trigger.  Candidate chips are then tried in deterministic
 cleaner than the sender receives the task, and the migration pays one
 programming write on the target pair plus the full weight payload
 (:data:`~repro.core.overheads.WEIGHT_BITS_PER_PAIR`) over the
-interconnect.
+interconnect.  A fleet of one has no candidate chip, so each of its
+unmatched senders is stranded without the local probe.
 
 Everything here is RNG-free and derived from the shared BIST estimates,
 so serial / fork / spawn runs — and data-parallel replicas replaying the
@@ -174,6 +175,13 @@ class FleetRemapProtocol:
         occupied: set[int],
     ) -> EvictionDecision | None:
         """Pick the eviction target for one unmatched sender, or None."""
+        icn = self.fleet.interconnect
+        candidates = sorted(
+            (c for c in self.fleet.chips if c is not src),
+            key=lambda c: (icn.chip_distance(src.chip_id, c.chip_id), c.chip_id),
+        )
+        if not candidates:  # a fleet of one has nowhere to evict to
+            return None
         s_density = float(density[task.pair_id])
         # Confirm the local chip is exhausted before going off-chip: the
         # allocator raising SpareExhaustedError — or only offering pairs
@@ -186,11 +194,6 @@ class FleetRemapProtocol:
                 return None
         except SpareExhaustedError:
             pass
-        icn = self.fleet.interconnect
-        candidates = sorted(
-            (c for c in self.fleet.chips if c is not src),
-            key=lambda c: (icn.chip_distance(src.chip_id, c.chip_id), c.chip_id),
-        )
         for dst in candidates:
             try:
                 pid = dst.find_eviction_pair(occupied, density)

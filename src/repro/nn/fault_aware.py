@@ -69,8 +69,9 @@ class CrossbarEngine:
     """Routes layer MVMs through the chip's (possibly faulty) crossbars."""
 
     def __init__(self, chip: Chip):
-        #: the bound chip — a Chip, or a ChipFleet duck-typing its surface
-        #: (fault_maps / pair() / fault_version / allocate_layer_copy ...).
+        #: the bound hardware — an experiment's ChipFleet, or a bare Chip;
+        #: both offer fault_maps / pair() / fault_version /
+        #: allocate_layer_copy ...
         self.chip = chip
         #: layer key -> (forward copy, backward copy) mappings.
         self.copies: dict[str, tuple[LayerCopyMapping, LayerCopyMapping]] = {}

@@ -5,11 +5,13 @@ differential pair registry, the wear tracker and a monotonically increasing
 ``fault_version`` used to invalidate cached fault overlays whenever faults
 are injected or tasks are remapped.
 
-A chip can be a member of a :class:`~repro.fleet.ChipFleet`: every pair,
-tile, crossbar and router id is offset by a per-chip base so ids are unique
-*fleet-wide* and any global id resolves to exactly one chip.  A standalone
-chip uses all-zero bases, which makes the global ids identical to the local
-ones — single-chip behaviour is unchanged.
+Experiments run every chip as a member of a :class:`~repro.fleet.ChipFleet`
+(a fleet of one by default): every pair, tile, crossbar and router id is
+offset by a per-chip base so ids are unique *fleet-wide* and any global id
+resolves to exactly one chip.  A fleet's first member, and a bare chip,
+use all-zero bases, so their global ids equal their local ones.  The
+fleet records weight-update wear; the chip moves and swaps tasks for the
+remap protocol.
 """
 
 from __future__ import annotations
@@ -334,25 +336,6 @@ class Chip:
             ),
         )
         self.telemetry.count("chip.task_moves")
-
-    # ------------------------------------------------------------------ #
-    # training-side bookkeeping
-    # ------------------------------------------------------------------ #
-    def record_update_writes(self, count: int = 1) -> None:
-        """Record ``count`` weight-update writes on every mapped crossbar.
-
-        Blocks evicted to a different chip are skipped here: the fleet's
-        own ``record_update_writes`` resolves every block to its hosting
-        chip's wear tracker.
-        """
-        ids: list[int] = []
-        for mapping in self.mappings:
-            for _, _, pair_id in mapping.iter_blocks():
-                if self.owns_pair(pair_id):
-                    ids.extend(self.pair(pair_id).crossbar_ids())
-        self.wear.record(
-            np.asarray(ids, dtype=np.int64) - self.crossbar_base, count
-        )
 
     def swap_tasks(
         self,

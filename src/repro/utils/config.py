@@ -283,14 +283,14 @@ class ExperimentConfig:
     #: CLI presets.
     analog: "AnalogConfig | None" = None
     seed: int = 0
-    #: number of simulated chips the model is sharded across.  1 (the
-    #: default) keeps the original single-chip stack — bit-identical to
-    #: the pre-fleet code path; >= 2 pipeline-partitions the model's
-    #: layers over a :class:`~repro.fleet.ChipFleet` with a cross-chip
-    #: eviction path in the remap protocol.
+    #: number of simulated chips the model is pipeline-partitioned across
+    #: in a :class:`~repro.fleet.ChipFleet`.  1 (the default) is a fleet of
+    #: one, bit-identical to the recorded single-chip golden run; >= 2
+    #: adds the remap protocol's cross-chip eviction path.
     chips: int = 1
     #: per-chip capacity headroom factor (the ``slack`` of
-    #: ``size_chip_for_model``, applied per pipeline stage in fleet mode).
+    #: :func:`~repro.fleet.placement.stage_chip_config`, applied to each
+    #: chip's pipeline stage).
     chip_slack: float = 2.0
 
     def __post_init__(self) -> None:

@@ -8,10 +8,11 @@ from repro.core.controller import (
     inject_fault_wave,
     inject_phase_faults,
     run_experiment,
-    size_chip_for_model,
 )
 from repro.faults.distribution import uniform_cells
 from repro.faults.types import FaultType
+from repro.fleet import layer_pair_demands, plan_placement
+from repro.fleet.placement import stage_chip_config
 from repro.nn.models import build_model
 from repro.utils.config import (
     ChipConfig,
@@ -39,17 +40,26 @@ class TestChipSizing:
     def test_chip_fits_both_copies_with_slack(self, rng):
         model = build_model("vgg16", 10, 0.125, rng)
         base = ChipConfig(crossbar=CrossbarConfig(rows=32, cols=32))
-        sized = size_chip_for_model(model, base)
-        ctx = build_experiment(_tiny())
-        # binding succeeded in build_experiment; direct check on sized cfg:
-        assert sized.num_pairs > 0
+        placement = plan_placement(model, 1, base)
+        demand = placement.stage_demand(0)
+        sized = stage_chip_config(base, demand)
+        assert sized.num_pairs >= 2 * demand  # both copies, 2x slack
         assert sized.crossbars_per_ima % 2 == 0
+        # A default experiment is a fleet of one whose chip is sized by
+        # the same formula for the whole model.
+        config = _tiny()
+        ctx = build_experiment(config)
+        (member,) = ctx.chip.chips
+        total = sum(d for _, d in layer_pair_demands(ctx.model, config.chip))
+        assert member.config == stage_chip_config(
+            config.chip, total, config.chip_slack
+        )
 
     def test_rejects_model_without_mvm_layers(self):
         from repro.nn.layers import Sequential, Flatten
 
         with pytest.raises(ValueError):
-            size_chip_for_model(Sequential(Flatten()), ChipConfig())
+            plan_placement(Sequential(Flatten()), 1, ChipConfig())
 
 
 class TestBuildExperiment:

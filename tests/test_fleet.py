@@ -1,23 +1,26 @@
-"""Fleet tests: placement, interconnect, eviction, and chips=1 identity.
+"""Fleet tests: placement, interconnect, eviction, and the fleet of one.
 
-The multi-chip refactor's contract has two halves:
+Every experiment builds a :class:`~repro.fleet.ChipFleet`.  The contract
+has two halves:
 
-* ``chips=1`` stays **bit-identical** to the pre-refactor single-chip
-  path (asserted against the recorded golden run); and
+* ``chips=1`` is a fleet of one that stays **bit-identical** to the
+  recorded single-chip golden run; and
 * ``chips>=2`` under a spare-exhausting fault wave performs cross-chip
   evictions deterministically — the same seed and wave produce identical
   placement and eviction decisions whether cells run serially or in
   fork/spawn worker pools.
 """
 
+import gc
 import json
 import multiprocessing as mp
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.controller import run_experiment, size_chip_for_model
+from repro.core.controller import build_experiment, run_experiment
 from repro.core.overheads import (
     INTERCHIP_LINK_BITS,
     INTERCHIP_LINK_LATENCY,
@@ -79,10 +82,9 @@ class TestPlacement:
         model = _model()
         demands = layer_pair_demands(model, chip_config)
         assert demands and all(d > 0 for _, d in demands)
-        # Same accounting as size_chip_for_model: the sized single chip
-        # must fit exactly the summed demand (with slack).
+        # The chip sized for the summed demand (no slack) must fit it.
         total = sum(d for _, d in demands)
-        sized = size_chip_for_model(model, chip_config, slack=1.0)
+        sized = stage_chip_config(chip_config, total, slack=1.0)
         assert sized.num_crossbars // 2 >= total
 
     def test_deterministic_and_contiguous(self, chip_config):
@@ -107,13 +109,6 @@ class TestPlacement:
         layers = len(layer_pair_demands(model, chip_config))
         with pytest.raises(ValueError):
             plan_placement(model, layers + 1, chip_config)
-
-    def test_stage_sizing_matches_single_chip_formula(self, chip_config):
-        """One stage holding the whole model == size_chip_for_model."""
-        model = _model()
-        total = sum(d for _, d in layer_pair_demands(model, chip_config))
-        assert stage_chip_config(chip_config, total, 2.0) == \
-            size_chip_for_model(model, chip_config, slack=2.0)
 
 
 class TestInterconnect:
@@ -226,15 +221,47 @@ class TestChipFleet:
         assert target not in fleet.idle_pair_ids()
         assert target in fleet.occupied_pair_ids()
 
-    def test_cross_chip_swap_rejected(self, fleet):
-        m0 = fleet.allocate_layer_copy(
+    def test_record_update_writes(self, fleet):
+        mapping = fleet.allocate_layer_copy(
+            fleet.placement.stages[0][0] + ":fwd", "forward", (8, 8)
+        )
+        fleet.record_update_writes(count=5)
+        pos, neg = fleet.pair(int(mapping.pair_ids[0, 0])).crossbar_ids()
+        writes = fleet.wear.writes
+        assert writes[pos] == 5 and writes[neg] == 5
+        assert writes.sum() == 10
+
+    def test_evicted_block_wear_lands_on_host_chip(self, fleet):
+        mapping = fleet.allocate_layer_copy(
             fleet.placement.stages[0][0] + ":fwd", "forward", (16, 16)
         )
-        m1 = fleet.allocate_layer_copy(
-            fleet.placement.stages[1][0] + ":fwd", "forward", (16, 16)
-        )
-        with pytest.raises(ValueError, match="crosses chips"):
-            fleet.swap_tasks(m0, (0, 0), m1, (0, 0))
+        host = fleet.chips[1]
+        target = host.allocatable_pair_ids()[0]
+        fleet.migrate_task(mapping, (0, 0), target)
+        before = [c.wear.writes.copy() for c in fleet.chips]
+        fleet.record_update_writes(count=3)
+        # The block's origin chip registers the mapping, but the host's
+        # devices take the writes.
+        np.testing.assert_array_equal(fleet.chips[0].wear.writes, before[0])
+        added = host.wear.writes - before[1]
+        pos, neg = host.pair(target).crossbar_ids()
+        assert added[pos - host.crossbar_base] == 3
+        assert added[neg - host.crossbar_base] == 3
+        assert added.sum() == 6
+
+    def test_dropped_context_frees_its_fleet_without_gc(self):
+        # The fleet and its wear view must not form a reference cycle:
+        # with the collector off, dropping the context must free the
+        # fleet (members, fault arrays, mappings) at once.
+        gc.collect()
+        gc.disable()
+        try:
+            ctx = build_experiment(_fleet_config(chips=2))
+            fleet = weakref.ref(ctx.chip)
+            del ctx
+            assert fleet() is None
+        finally:
+            gc.enable()
 
     def test_health_rollup_reports_members(self, fleet):
         health = chip_health(fleet)
@@ -278,9 +305,28 @@ class TestFleetEviction:
         assert last["evictions"] == result.num_evictions
         assert last["interchip_flits"] > 0
 
-    def test_single_chip_result_has_no_evictions(self):
-        result = run_experiment(_fleet_config(chips=1, wave=False))
+    def test_one_chip_run_is_a_fleet_of_one(self):
+        config = _fleet_config(chips=1, wave=False)
+        ctx = build_experiment(config)
+        assert isinstance(ctx.chip, ChipFleet)
+        assert len(ctx.chip.chips) == 1
+        tel = Telemetry(echo=False)
+        result = run_experiment(config, telemetry=tel)
         assert result.num_evictions == 0
+        assert len(tel.filter("fleet_built")) == 1
+        summary = tel.summary()
+        report = build_report(list(tel.events), summary)
+        fleet = report["fleet"]
+        assert fleet["built"]["chips"] == 1
+        assert fleet["migrations"] == []
+        assert fleet["evictions"] == 0
+        # No other chip to evict to: every unmatched sender is stranded.
+        stranded = summary["counters"].get("fleet.stranded_senders", 0)
+        assert fleet["stranded_senders"] == stranded
+        assert sum(len(s["pairs"]) for s in fleet["stranded"]) == stranded
+        text = render_report(report)
+        assert "per-chip fleet health" in text
+        assert "cross-chip migration timeline" not in text
 
 
 class TestDeterminism:

@@ -90,13 +90,6 @@ class TestRemapPrimitives:
         assert int(a.pair_ids[0, 0]) == target
         assert old in chip.idle_pair_ids()
 
-    def test_record_update_writes(self, chip):
-        a = chip.allocate_layer_copy("a", "forward", (8, 8))
-        chip.record_update_writes(count=5)
-        pos, neg = chip.pair(int(a.pair_ids[0, 0])).crossbar_ids()
-        assert chip.wear.writes[pos] == 5
-        assert chip.wear.writes[neg] == 5
-
     def test_true_density_views(self, chip):
         assert chip.true_pair_densities().shape == (chip.num_pairs,)
         assert chip.true_crossbar_densities().sum() == 0
