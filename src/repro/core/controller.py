@@ -220,7 +220,9 @@ def build_experiment(
     if config.analog is not None and config.analog.active:
         # The soft-error stream is derived only when that layer is on, so
         # configs without it consume no extra randomness (and analog-off
-        # runs stay bit-identical to the pre-analog code path).
+        # runs stay bit-identical to the pre-analog code path).  A scrub
+        # pass is priced on the built member with the most crossbars per
+        # IMA: members scan in parallel, as the IMAs of one chip do.
         engine.set_analog(
             AnalogStack(
                 config.analog,
@@ -229,7 +231,10 @@ def build_experiment(
                     if config.analog.soft_error is not None
                     else None
                 ),
-                chip_config=config.chip,
+                chip_config=max(
+                    (member.config for member in chip.chips),
+                    key=lambda c: c.crossbars_per_ima,
+                ),
                 telemetry=tel,
             )
         )

@@ -209,9 +209,9 @@ def make_dataset(
 # --------------------------------------------------------------------- #
 #: generation-recipe key -> dataset.  Experiments seeded identically train
 #: on identical data, so N cells of a figure sweep share one generation.
-#: Per process; the parallel runner prefills it in the parent so forked
+#: Per process; every worker group prefills it in the parent so forked
 #: workers inherit the arrays copy-on-write (spawned workers receive them
-#: through shared memory — see repro.runner.runner).
+#: through shared memory — see repro.workers).
 _DATASET_CACHE: dict[tuple, SyntheticDataset] = {}
 
 #: the named RNG stream datasets are derived from (matches the stream the
@@ -257,7 +257,7 @@ def cached_dataset(
 
 
 def insert_cached_dataset(key: tuple, ds: SyntheticDataset) -> None:
-    """Install an externally materialised dataset (runner shared memory)."""
+    """Install an externally materialised dataset (worker shared memory)."""
     _DATASET_CACHE[key] = _freeze(ds)
 
 

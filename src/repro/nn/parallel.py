@@ -18,11 +18,12 @@ shard-size-weighted mean of the per-shard losses.  The contract is
 *worker-count invariance*, not equivalence with single-process
 full-batch training.
 
-Workers are persistent SPMD processes driven over a pipe: ``("epoch",
-e)`` runs one sharded epoch, ``("hook", e)`` replays the controller's
-end-of-epoch transition (fault injection, BIST, policy remap) on the
-worker's replica, ``("stop",)`` returns the worker's telemetry snapshot
-and exits.  Replicas are rebuilt from the experiment config in each
+Workers are persistent SPMD processes of :mod:`repro.workers`, driven
+over their pipe: ``("epoch", e)`` runs one sharded epoch, ``("hook",
+e)`` replays the controller's end-of-epoch transition (fault injection,
+BIST, policy remap) on the worker's replica, ``("stop",)`` returns the
+worker's telemetry snapshot and exits; a rank that dies aborts the
+barriers.  Replicas are rebuilt from the experiment config in each
 worker, so determinism rests on the named RNG streams of
 :class:`repro.utils.rng.RngHub` — every rank derives the same
 ``train``/``faults``/``bist`` streams and consumes them identically.
@@ -31,9 +32,7 @@ worker, so determinism rests on the named RNG streams of
 from __future__ import annotations
 
 import os
-import threading
 import time
-import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -325,49 +324,26 @@ def _run_sharded_epoch(trainer: Trainer, comm: _ShardComm, epoch: int) -> float:
     return total_loss / total_n
 
 
-def _watch_workers(procs, barriers, stop: threading.Event) -> None:
-    """Abort the barriers if a worker dies without reaching its own
-    exception handler (e.g. a spawn bootstrap failure) — rank 0 then
-    sees BrokenBarrierError promptly instead of the full barrier
-    timeout."""
-    while not stop.wait(1.0):
-        for proc in procs:
-            code = proc.exitcode
-            if code is not None and code != 0:
-                for b in barriers:
-                    b.abort()
-                return
-
-
 # --------------------------------------------------------------------- #
 # worker process main
 # --------------------------------------------------------------------- #
-def _worker_main(rank, world, experiment, shm_name, barrier_a, barrier_b,
-                 barrier_s, conn, shm_specs, profile):
+def _rank_main(conn, sink, rank, world, experiment, shm_name, barriers,
+               profile):
     """Persistent SPMD worker: replica build + command loop.
 
     The replica is rebuilt from the experiment config (datasets arrive
-    via fork copy-on-write or the runner's shared-memory export), with
+    via fork copy-on-write or the parent's shared-memory export), with
     ``data_parallel`` forced to 0 so the replica's trainer is a plain
     :class:`Trainer` — this function drives the sharded epochs itself.
+    ``sink`` carries the worker-side dp metrics back (the replica's own
+    sink is off: rank 0 already records its fault/BIST/policy events).
     """
     os.environ[WORKERS_ENV] = "0"
-    from repro.runner.runner import _init_worker
-
-    _init_worker(shm_specs)
-    from multiprocessing import shared_memory
-
     from repro.core.controller import apply_epoch_end, build_experiment
+    from repro.workers import attach
 
-    shm = comm = slots = scale_view = None
-    # The replica's own sink is disabled — fault/BIST/policy events are
-    # already recorded by rank 0; a worker re-emitting them would double
-    # count.  A small separate sink carries worker-side dp metrics back.
-    sink = Telemetry(echo=False)
     sink.profile = bool(profile)
-    from repro.telemetry.live import attach_worker_live
-
-    live = attach_worker_live(sink, f"dp-rank{rank}")
+    shm = comm = slots = scale_view = None
     try:
         cfg = replace(
             experiment, train=replace(experiment.train, data_parallel=0)
@@ -375,18 +351,7 @@ def _worker_main(rank, world, experiment, shm_name, barrier_a, barrier_b,
         ctx = build_experiment(cfg, telemetry=Telemetry(enabled=False))
         trainer = ctx.trainer
         bist_rng = ctx.rng_hub.stream("bist")
-        shm = shared_memory.SharedMemory(name=shm_name)
-        if shm_specs is not None:
-            # Spawned worker: this process's resource tracker registered
-            # the attach; the parent owns the segment lifecycle.  (A
-            # forked worker shares the parent's tracker — unregistering
-            # there would drop the parent's own registration.)
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
+        shm = attach(shm_name)
         params = trainer.optimizer.parameters
         bn_mods = _bn_modules(trainer.model)
         shards = cfg.train.grad_shards
@@ -397,10 +362,8 @@ def _worker_main(rank, world, experiment, shm_name, barrier_a, barrier_b,
             offset=shards * _shard_nbytes(params, bn_mods),
         )
         comm = _ShardComm(
-            rank=rank, world=world, shards=shards,
-            slots=slots, bn_mods=bn_mods, engine=engine,
-            scale_view=scale_view, barrier_a=barrier_a,
-            barrier_b=barrier_b, barrier_s=barrier_s, tel=sink,
+            rank, world, shards, slots, bn_mods, engine, scale_view,
+            *barriers, tel=sink,
         )
         while True:
             cmd = conn.recv()
@@ -410,23 +373,16 @@ def _worker_main(rank, world, experiment, shm_name, barrier_a, barrier_b,
             elif cmd[0] == "hook":
                 apply_epoch_end(ctx, bist_rng, cmd[1], trainer)
             elif cmd[0] == "stop":
-                live.close()
-                conn.send(sink.snapshot())
-                return
+                return sink.snapshot()
             else:  # pragma: no cover - protocol error
                 raise RuntimeError(f"unknown dp command {cmd!r}")
-    except (EOFError, KeyboardInterrupt):  # parent died / interrupted
-        pass
     except Exception:
-        traceback.print_exc()
         # Break the peers out of any barrier they are waiting on so the
         # failure surfaces as BrokenBarrierError instead of a hang.
-        barrier_a.abort()
-        barrier_b.abort()
-        barrier_s.abort()
+        for barrier in barriers:
+            barrier.abort()
         raise
     finally:
-        live.close()  # idempotent; covers the exception exits too
         # Slot views alias shm.buf; drop them before closing the segment
         # (exported pointers keep the mapping pinned otherwise).
         comm = slots = scale_view = None  # noqa: F841
@@ -473,16 +429,12 @@ class DataParallelTrainer(Trainer):
         self.world = 0  # resolved on start
         self._started = False
         self._finished = False
-        self._procs: list = []
-        self._conns: list = []
-        self._shm = None
+        #: the worker ranks and the exchange segment (repro.workers)
+        self._group = None
         self._local_buf = None
-        self._segments: list = []
         self._comm: _ShardComm | None = None
         #: the caller's BLAS thread count while rank 0 runs on one
         self._thread_limit = None
-        self._watchdog: threading.Thread | None = None
-        self._watchdog_stop: threading.Event | None = None
 
     # ------------------------------------------------------------------ #
     def _resolve_world(self) -> int:
@@ -528,59 +480,38 @@ class DataParallelTrainer(Trainer):
         if world == 1:
             self._local_buf = bytearray(total)
             buf = memoryview(self._local_buf)
-            barrier_a = barrier_b = barrier_s = _NullBarrier()
+            barriers = (_NullBarrier(),) * 3
         else:
-            import multiprocessing as mp
-            from multiprocessing import shared_memory
+            from repro.workers import WorkerGroup, watch
 
-            from repro.runner.runner import ExperimentCell, _export_datasets_shm
+            group = WorkerGroup(self.start_method)
+            try:
+                shm = group.segment(total)
+                buf = shm.buf
+                barriers = tuple(group.ctx.Barrier(world) for _ in range(3))
+                group.share_datasets([self.experiment])
+                profile = bool(self.telemetry.enabled and self.telemetry.profile)
+                for rank in range(1, world):
+                    group.start(
+                        _rank_main, rank, world, self.experiment, shm.name,
+                        barriers, profile,
+                        source=f"dp-rank{rank}", name=f"repro-dp-{rank}",
+                    )
+            except BaseException:
+                group.close()
+                raise
 
-            method = self.start_method
-            if method is None:
-                method = (
-                    "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-                )
-            ctx = mp.get_context(method)
-            self._shm = shared_memory.SharedMemory(create=True, size=total)
-            buf = self._shm.buf
-            barrier_a = ctx.Barrier(world)
-            barrier_b = ctx.Barrier(world)
-            barrier_s = ctx.Barrier(world)
-            specs = None
-            if method != "fork":
-                # Spawned replicas cannot inherit the dataset memo; ship
-                # the arrays through the runner's shared-memory export.
-                specs, self._segments = _export_datasets_shm(
-                    [ExperimentCell(key="dp", config=self.experiment)]
-                )
-            profile = bool(self.telemetry.enabled and self.telemetry.profile)
-            for rank in range(1, world):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(rank, world, self.experiment, self._shm.name,
-                          barrier_a, barrier_b, barrier_s, child_conn,
-                          specs, profile),
-                    daemon=True,
-                    name=f"repro-dp-{rank}",
-                )
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-            self._watchdog_stop = threading.Event()
-            self._watchdog = threading.Thread(
-                target=_watch_workers,
-                args=(list(self._procs), (barrier_a, barrier_b, barrier_s),
-                      self._watchdog_stop),
-                daemon=True,
-                name="repro-dp-watchdog",
-            )
-            self._watchdog.start()
+            def abort_barriers(_worker) -> None:
+                for barrier in barriers:
+                    barrier.abort()
+
+            # A rank that dies breaks the barrier rank 0 waits at.
+            watch(group.workers, abort_barriers)
+            self._group = group
             # Rank 0 runs one BLAS thread while the ranks live, like every
-            # worker rank (``_init_worker``): the parallelism comes from
-            # the ranks, and a BLAS pool in each would oversubscribe the
-            # cores.  ``shutdown`` gives the caller its count back.
+            # worker rank: the parallelism comes from the ranks, and a
+            # BLAS pool in each would oversubscribe the cores.
+            # ``shutdown`` gives the caller its count back.
             self._thread_limit = set_blas_threads(1)
         slots = _carve_slots(buf, params, bn_mods, shards)
         scale_view = np.frombuffer(
@@ -588,9 +519,7 @@ class DataParallelTrainer(Trainer):
             offset=shards * _shard_nbytes(params, bn_mods),
         )
         self._comm = _ShardComm(
-            rank=0, world=world, shards=shards, slots=slots,
-            bn_mods=bn_mods, engine=engine, scale_view=scale_view,
-            barrier_a=barrier_a, barrier_b=barrier_b, barrier_s=barrier_s,
+            0, world, shards, slots, bn_mods, engine, scale_view, *barriers,
             tel=self.telemetry,
         )
         self._started = True
@@ -598,8 +527,7 @@ class DataParallelTrainer(Trainer):
     # ------------------------------------------------------------------ #
     def train_epoch(self, epoch: int) -> float:
         self._ensure_started()
-        for conn in self._conns:
-            conn.send(("epoch", epoch))
+        self._send(("epoch", epoch))
         return _run_sharded_epoch(self, self._comm, epoch)
 
     def broadcast_epoch_end(self, epoch: int) -> None:
@@ -609,58 +537,29 @@ class DataParallelTrainer(Trainer):
         transition; command ordering on the pipe guarantees workers
         replay it before starting the next epoch.
         """
-        for conn in self._conns:
-            conn.send(("hook", epoch))
+        self._send(("hook", epoch))
+
+    def _send(self, command) -> None:
+        if self._group is not None:
+            for worker in self._group.workers:
+                worker.send(command)
 
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
         """Stop the workers, fold their telemetry in, release memory."""
-        if not self._started:
-            self._finished = True
-            return
-        if self._watchdog_stop is not None:
-            self._watchdog_stop.set()
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for rank, conn in enumerate(self._conns, start=1):
-            try:
-                if conn.poll(30):
-                    self.telemetry.merge(conn.recv(), tag=f"dp-rank{rank}")
-            except (EOFError, OSError):
-                pass
-            finally:
-                conn.close()
-        for proc in self._procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5)
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=5)
-            self._watchdog = None
-            self._watchdog_stop = None
+        if self._group is not None:
+            snapshots = self._group.stop()
+            for rank, snapshot in enumerate(snapshots, start=1):
+                if snapshot is not None:
+                    self.telemetry.merge(snapshot, tag=f"dp-rank{rank}")
+            # Drop every view into the exchange buffer before releasing it.
+            self._comm = None
+            self._group.close()
+            self._group = None
         if self._thread_limit is not None:
             set_blas_threads(self._thread_limit)
             self._thread_limit = None
-        self._procs.clear()
-        self._conns.clear()
-        # Drop every view into the exchange buffer before unlinking it.
         self._comm = None
-        if self._shm is not None:
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except Exception:
-                pass
-            self._shm = None
-        if self._segments:
-            from repro.runner.runner import _release_segments
-
-            _release_segments(self._segments)
-            self._segments = []
         self._local_buf = None
         self._started = False
         self._finished = True

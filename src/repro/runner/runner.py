@@ -29,11 +29,11 @@ worker processes:
   each finished cell to a JSONL checkpoint
   (:mod:`repro.runner.checkpoint`) and skips cells the file already
   holds, so an interrupted sweep resumes bit-identically.
-* **Oversubscription control** — every worker process (sweep cell, serve
-  replica, data-parallel rank) starts in :func:`_init_worker`, which sets
-  NumPy's OpenBLAS to one thread (:mod:`repro.utils.blas`); the matrices
-  here are small enough that process-level parallelism dominates.  The
-  calling process keeps its own count.
+* **One worker substrate** — the workers start, attach the datasets,
+  pin one BLAS thread and report their death through :mod:`repro.workers`,
+  which also runs serve replicas and data-parallel ranks; this module
+  keeps only its policy: one process per attempt, deadlines,
+  retry/backoff and ``REPRO_RUNNER_CHAOS``.
 
 Environment knobs: ``REPRO_BENCH_WORKERS`` (worker count, ``"auto"`` =
 one per CPU, default serial), ``REPRO_BENCH_TIMEOUT`` (per-cell seconds,
@@ -46,38 +46,36 @@ Shared dataset cache
 Cells of one sweep usually train on a handful of distinct datasets (the
 generation recipe ``(name, n_train, n_test, image_size, seed)`` repeats
 across policies/models), so ``run_experiments`` materialises every unique
-dataset **once in the parent** before any worker starts.  With the
-default ``fork`` start method the workers inherit the cache copy-on-write
-(zero copies, zero extra memory); with ``spawn``/``forkserver`` the
-arrays are exported through ``multiprocessing.shared_memory`` segments
-that each worker attaches to on startup.  Serial runs share the same
-per-process cache (:mod:`repro.nn.data`).
+dataset **once in the parent** before any worker starts
+(:meth:`repro.workers.WorkerGroup.share_datasets`): ``fork`` workers
+inherit the cache copy-on-write, ``spawn`` workers attach to
+shared-memory exports the parent owns and unlinks.  Serial runs share
+the same per-process cache (:mod:`repro.nn.data`).
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import signal
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.nn.data import (
-    SyntheticDataset,
-    cached_dataset,
-    dataset_cache_key,
-    insert_cached_dataset,
-)
+from repro.nn.data import cached_dataset
 from repro.runner.checkpoint import CheckpointStore, cell_fingerprint
 from repro.telemetry import Telemetry, null_telemetry
 from repro.telemetry.live import FLIGHT_ENV, attach_worker_live, flight_path
-from repro.utils.blas import set_blas_threads
 from repro.utils.config import ExperimentConfig
+from repro.workers import (
+    Worker,
+    WorkerDied,
+    WorkerGroup,
+    _dataset_recipes,
+    wait,
+)
 
 __all__ = [
     "ExperimentCell",
@@ -225,119 +223,11 @@ def _normalise_retry(retry: "RetryPolicy | int | None") -> RetryPolicy:
     return RetryPolicy(max_attempts=1 + max(0, int(retry)))
 
 
-# --------------------------------------------------------------------- #
-# shared dataset cache plumbing
-# --------------------------------------------------------------------- #
-def _dataset_recipes(cells: Sequence[ExperimentCell]) -> list[tuple]:
-    """Unique dataset generation recipes across the cells, in cell order."""
-    seen: dict[tuple, None] = {}
-    for cell in cells:
-        tc = cell.config.train
-        seen.setdefault(
-            dataset_cache_key(
-                tc.dataset, tc.n_train, tc.n_test, tc.image_size, cell.config.seed
-            )
-        )
-    return list(seen)
-
-
 def _prefill_dataset_cache(cells: Sequence[ExperimentCell]) -> None:
-    """Materialise every unique dataset once (parent process / serial)."""
-    for name, n_train, n_test, image_size, seed in _dataset_recipes(cells):
-        cached_dataset(name, n_train, n_test, image_size, seed)
-
-
-def _release_segments(segments: list) -> None:
-    """Close and unlink shared-memory segments (idempotent, best effort)."""
-    for shm in segments:
-        try:
-            shm.close()
-        except Exception:
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-        except Exception:
-            pass
-
-
-def _export_datasets_shm(cells: Sequence[ExperimentCell]):
-    """Copy every unique dataset into shared-memory segments (spawn path).
-
-    Returns ``(specs, segments)``: picklable per-dataset specs for the
-    worker startup path, and the live segments the parent must close and
-    unlink once the sweep is done.  If any allocation fails partway, the
-    segments created so far are closed *and unlinked* before the error
-    propagates — a half-built export must not leak ``/dev/shm`` space.
-    """
-    from multiprocessing import shared_memory
-
-    specs: list[dict] = []
-    segments = []
-    try:
-        for key in _dataset_recipes(cells):
-            ds = cached_dataset(*key)
-            arrays = {}
-            for field_name in ("x_train", "y_train", "x_test", "y_test"):
-                arr = getattr(ds, field_name)
-                shm = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-                segments.append(shm)
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-                view[...] = arr
-                arrays[field_name] = {
-                    "shm": shm.name,
-                    "shape": arr.shape,
-                    "dtype": arr.dtype.str,
-                }
-            specs.append(
-                {"key": key, "name": ds.name, "num_classes": ds.num_classes,
-                 "arrays": arrays}
-            )
-    except BaseException:
-        _release_segments(segments)
-        raise
-    return specs, segments
-
-
-#: segments attached by a worker — referenced so their buffers stay mapped
-#: for the lifetime of the worker process.
-_WORKER_SHM: list = []
-
-
-def _attach_datasets_shm(specs: list[dict]) -> None:
-    """Worker startup body: adopt parent datasets from shared memory."""
-    from multiprocessing import shared_memory
-
-    for spec in specs:
-        fields = {}
-        for field_name, meta in spec["arrays"].items():
-            shm = shared_memory.SharedMemory(name=meta["shm"])
-            _WORKER_SHM.append(shm)
-            # The parent owns the segment lifecycle (close + unlink after
-            # the sweep is done); stop this process's resource tracker
-            # from reporting it as leaked when the worker exits.
-            try:  # pragma: no cover - CPython implementation detail
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
-            fields[field_name] = np.ndarray(
-                meta["shape"], dtype=np.dtype(meta["dtype"]), buffer=shm.buf
-            )
-        insert_cached_dataset(
-            spec["key"],
-            SyntheticDataset(name=spec["name"], num_classes=spec["num_classes"],
-                             **fields),
-        )
-
-
-def _init_worker(shm_specs: list[dict] | None = None) -> None:
-    """First call of every worker process: one BLAS thread, shared datasets."""
-    set_blas_threads(1)
-    if shm_specs:
-        _attach_datasets_shm(shm_specs)
+    """Generate every unique dataset once, in the parent, before any
+    worker exists (forked workers inherit the cache copy-on-write)."""
+    for key in _dataset_recipes(cells):
+        cached_dataset(*key)
 
 
 # --------------------------------------------------------------------- #
@@ -451,26 +341,18 @@ def _run_cell(
     )
 
 
-def _worker_main(conn, index: int, cell: ExperimentCell, attempt: int,
-                 shm_specs: list[dict] | None) -> None:
-    """Entry point of one worker process: run the cell, pipe the result.
+def _cell_main(conn, tel: Telemetry, index: int, cell: ExperimentCell,
+               attempt: int) -> tuple[int, CellResult]:
+    """Worker target of one cell attempt; the result is its final reply.
 
-    Any failure *around* the cell (dataset attach, pickling, chaos
-    ``raise``) still produces a CellResult; a worker that dies without
-    sending one (SIGKILL, segfault, chaos ``crash``) is detected by the
-    dispatcher through its exit sentinel.
+    A failure around the cell (chaos ``raise``) still produces a
+    CellResult; a worker that dies without one is a crash.
     """
-    result: CellResult
-    # The sink and its live attachments exist *before* the chaos hook so
-    # a SIGKILL'd worker has already written an initial flight dump.
-    tel = Telemetry(echo=False)
-    live = attach_worker_live(tel, f"cell-{index}")
     try:
-        _init_worker(shm_specs)
         _maybe_chaos(cell, attempt)
-        _, result = _run_cell((index, cell), attempt=attempt, tel=tel)
+        return _run_cell((index, cell), attempt=attempt, tel=tel)
     except BaseException:
-        result = CellResult(
+        return index, CellResult(
             key=cell.key,
             ok=False,
             result=None,
@@ -481,12 +363,6 @@ def _worker_main(conn, index: int, cell: ExperimentCell, attempt: int,
             telemetry=tel.snapshot(),
             attempts=attempt,
         )
-    live.close()
-    try:
-        conn.send((index, result))
-        conn.close()
-    except Exception:  # pragma: no cover - parent already gone
-        os._exit(1)
 
 
 # --------------------------------------------------------------------- #
@@ -499,8 +375,7 @@ class _InFlight:
     index: int
     cell: ExperimentCell
     attempt: int
-    proc: Any
-    conn: Any
+    worker: Worker
     started: float
     deadline: float | None
 
@@ -518,8 +393,7 @@ def _dispatch(
     cell_list: Sequence[ExperimentCell],
     todo: Sequence[int],
     workers: int,
-    ctx,
-    shm_specs: list[dict] | None,
+    group: WorkerGroup,
     timeout: float | None,
     retry: RetryPolicy,
     tel: Telemetry,
@@ -531,38 +405,25 @@ def _dispatch(
     worker dies and then blocks on the result that will never come — every
     in-flight cell here owns its process, so the dispatcher can attribute
     a death or a blown deadline to the exact cell, kill/reap the process,
-    and re-queue the cell under the retry policy.
+    and re-queue the cell under the retry policy.  ``group`` kills the
+    workers still in flight when the sweep is interrupted.
     """
     pending: list[_Pending] = [_Pending(i, 1, 0.0) for i in todo]
     inflight: dict[int, _InFlight] = {}
 
     def _launch(item: _Pending) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, item.index, cell_list[item.index], item.attempt,
-                  shm_specs),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
+        cell = cell_list[item.index]
+        worker = group.start(_cell_main, item.index, cell, item.attempt,
+                             source=f"cell-{item.index}")
         now = time.monotonic()
         inflight[item.index] = _InFlight(
             index=item.index,
-            cell=cell_list[item.index],
+            cell=cell,
             attempt=item.attempt,
-            proc=proc,
-            conn=parent_conn,
+            worker=worker,
             started=now,
             deadline=now + timeout if timeout else None,
         )
-
-    def _reap(flight: _InFlight) -> None:
-        try:
-            flight.conn.close()
-        except Exception:
-            pass
-        flight.proc.join(timeout=5.0)
 
     def _fail(flight: _InFlight, reason: str, detail: str) -> None:
         key = flight.cell.key
@@ -573,8 +434,8 @@ def _dispatch(
             tel.count("runner.cell_timeouts")
         else:
             tel.event("cell_crashed", cell=key, attempt=flight.attempt,
-                      exitcode=flight.proc.exitcode,
-                      flight=_flight_dump_of(flight.proc.pid))
+                      exitcode=flight.worker.proc.exitcode,
+                      flight=_flight_dump_of(flight.worker.pid))
             tel.count("runner.cell_crashes")
         if flight.attempt < retry.max_attempts:
             delay = retry.delay_after(flight.attempt)
@@ -594,73 +455,54 @@ def _dispatch(
                     f"{flight.attempt}/{retry.max_attempts}; retries exhausted"
                 ),
                 wall_seconds=time.monotonic() - flight.started,
-                worker_pid=flight.proc.pid or 0,
+                worker_pid=flight.worker.pid or 0,
                 tags=dict(flight.cell.tags),
                 attempts=flight.attempt,
             ))
 
-    try:
-        while pending or inflight:
-            now = time.monotonic()
-            # Fill free worker slots with released (non-backing-off) cells,
-            # in queue order.
-            free = workers - len(inflight)
-            if free > 0 and pending:
-                launchable = [p for p in pending if p.not_before <= now][:free]
-                for item in launchable:
-                    pending.remove(item)
-                    _launch(item)
-            if not inflight:
-                # Everything is backing off; sleep until the next release.
-                next_release = min(p.not_before for p in pending)
-                time.sleep(min(max(next_release - now, 0.0), 1.0))
-                continue
-            # Block until a worker sends a result or dies, bounded by the
-            # nearest deadline / backoff release / poll tick.
-            wait_until = now + _POLL_SECONDS
-            for flight in inflight.values():
-                if flight.deadline is not None:
-                    wait_until = min(wait_until, flight.deadline)
-            for item in pending:
-                wait_until = min(wait_until, max(item.not_before, now))
-            handles: list = []
-            for flight in inflight.values():
-                handles.append(flight.conn)
-                handles.append(flight.proc.sentinel)
-            mp_connection.wait(handles, timeout=max(wait_until - now, 0.01))
-            now = time.monotonic()
-            for flight in list(inflight.values()):
-                if flight.conn.poll():
-                    try:
-                        _, res = flight.conn.recv()
-                    except (EOFError, OSError):
-                        pass  # died mid-send; handled as a crash below
-                    else:
-                        del inflight[flight.index]
-                        _reap(flight)
-                        record(flight.index, res)
-                        continue
-                if not flight.proc.is_alive():
-                    del inflight[flight.index]
-                    _reap(flight)
-                    _fail(flight, "crashed",
-                          f"worker pid {flight.proc.pid} exited with code "
-                          f"{flight.proc.exitcode}")
-                elif flight.deadline is not None and now >= flight.deadline:
-                    del inflight[flight.index]
-                    flight.proc.kill()
-                    _reap(flight)
-                    _fail(flight, "timeout",
-                          f"exceeded the {timeout:.1f}s per-cell timeout")
-    finally:
-        # Interrupt / error path: never leave orphan workers behind.
+    while pending or inflight:
+        now = time.monotonic()
+        # Fill free worker slots with released (non-backing-off) cells,
+        # in queue order.
+        free = workers - len(inflight)
+        if free > 0 and pending:
+            launchable = [p for p in pending if p.not_before <= now][:free]
+            for item in launchable:
+                pending.remove(item)
+                _launch(item)
+        if not inflight:
+            # Everything is backing off; sleep until the next release.
+            next_release = min(p.not_before for p in pending)
+            time.sleep(min(max(next_release - now, 0.0), 1.0))
+            continue
+        # Block until a worker sends a result or dies, bounded by the
+        # nearest deadline / backoff release / poll tick.
+        wait_until = now + _POLL_SECONDS
         for flight in inflight.values():
-            try:
-                flight.proc.kill()
-            except Exception:
-                pass
-        for flight in inflight.values():
-            _reap(flight)
+            if flight.deadline is not None:
+                wait_until = min(wait_until, flight.deadline)
+        for item in pending:
+            wait_until = min(wait_until, max(item.not_before, now))
+        ready = wait([f.worker for f in inflight.values()],
+                     timeout=max(wait_until - now, 0.01))
+        now = time.monotonic()
+        for flight in list(inflight.values()):
+            if flight.worker in ready:
+                del inflight[flight.index]
+                try:
+                    _, res = flight.worker.recv(0)
+                except WorkerDied as exc:
+                    flight.worker.close()
+                    _fail(flight, "crashed", str(exc))
+                else:
+                    flight.worker.close()
+                    record(flight.index, res)
+            elif flight.deadline is not None and now >= flight.deadline:
+                del inflight[flight.index]
+                flight.worker.kill()
+                flight.worker.close()
+                _fail(flight, "timeout",
+                      f"exceeded the {timeout:.1f}s per-cell timeout")
 
 
 def _normalise(cells: Iterable) -> list[ExperimentCell]:
@@ -812,26 +654,19 @@ def run_experiments(
                 _, res = _run_cell((index, cell_list[index]))
                 record(index, res)
         else:
-            if start_method is None:
-                available = mp.get_all_start_methods()
-                start_method = "fork" if "fork" in available else "spawn"
-            ctx = mp.get_context(start_method)
+            # The group kills in-flight workers and releases the shared
+            # memory on every exit path.
             todo_cells = [cell_list[i] for i in todo]
-            # Generate each unique dataset once, before any worker exists.
-            # Fork workers inherit the cache copy-on-write; spawn/forkserver
-            # workers attach to shared-memory exports on startup.
             _prefill_dataset_cache(todo_cells)
-            shm_specs: list[dict] | None = None
-            shm_segments: list = []
+            group = WorkerGroup(start_method)
             try:
-                if start_method != "fork":
-                    shm_specs, shm_segments = _export_datasets_shm(todo_cells)
+                group.share_datasets(todo_cells)
                 _dispatch(
-                    cell_list, todo, min(workers, len(todo)), ctx, shm_specs,
+                    cell_list, todo, min(workers, len(todo)), group,
                     timeout, retry_policy, tel, record,
                 )
             finally:
-                _release_segments(shm_segments)
+                group.close()
     _ensure_complete(results, cell_list)
     if telemetry is not None:
         # Merge in submission order (not completion order) so the parent

@@ -9,17 +9,16 @@ like chips in a fleet.
 :class:`ReplicaCore` is the substrate: fixed-shape batched inference plus
 the maintenance verbs the router needs (``health``, ``inject_faults``,
 ``remap``).  :class:`LocalReplica` runs a core on the caller's thread;
-:class:`ProcessReplica` runs it in a persistent worker process, reusing
-the runner's worker bootstrap (BLAS thread pinning, spawn-safe dataset
-shared-memory attach) and moving request/response tensors through one
-preallocated ``multiprocessing.shared_memory`` segment per replica — the
-pipe carries only tiny command tuples, never activations.
+:class:`ProcessReplica` runs it in a persistent worker of
+:mod:`repro.workers` (a death raises :class:`ReplicaDied`, which the
+server answers with a requeue) and moves request/response tensors
+through one preallocated shared-memory segment per replica — the pipe
+carries only tiny command tuples, never activations.
 """
 
 from __future__ import annotations
 
 import os
-import traceback
 from dataclasses import replace
 from typing import Any
 
@@ -28,6 +27,7 @@ import numpy as np
 from repro.telemetry import Telemetry
 from repro.telemetry.health import chip_health, sample_health
 from repro.utils.config import ExperimentConfig
+from repro.workers import WorkerDied, WorkerGroup, attach
 
 __all__ = ["LocalReplica", "ProcessReplica", "ReplicaCore", "ReplicaDied"]
 
@@ -37,7 +37,7 @@ __all__ = ["LocalReplica", "ProcessReplica", "ReplicaCore", "ReplicaDied"]
 _REPLY_TIMEOUT = 60.0
 
 
-class ReplicaDied(RuntimeError):
+class ReplicaDied(WorkerDied):
     """A process replica exited, broke its pipe, or stopped replying."""
 
 
@@ -216,75 +216,50 @@ class LocalReplica:
 # --------------------------------------------------------------------- #
 # out-of-process replicas
 # --------------------------------------------------------------------- #
-def _replica_worker_main(replica_id, config, max_batch, shm_name, conn,
-                         shm_specs):
+def _replica_main(conn, tel, replica_id, config, max_batch, shm_name):
     """Persistent replica worker: build the core, loop on pipe commands.
 
     Tensor transport rides the named shared-memory segment: the parent
     writes the request batch into the input region before sending
     ``("infer", n)``; the worker writes logits into the output region and
-    replies ``("ok", n, fault_version)``.  Everything else is tiny dicts.
+    replies with the chip's fault version.  Everything else is tiny
+    dicts; ``("stop",)`` returns the final telemetry snapshot.
     """
     os.environ["REPRO_TRAIN_WORKERS"] = "0"
-    from repro.runner.runner import _init_worker
-
-    _init_worker(shm_specs)
-    from multiprocessing import shared_memory
-
-    from repro.telemetry.live import attach_worker_live
-
-    tel = Telemetry(echo=False)
-    live = attach_worker_live(tel, f"replica{replica_id}")
     shm = in_view = out_view = None
     try:
         core = ReplicaCore(
             config, max_batch, replica_id=replica_id, telemetry=tel
         )
-        shm = shared_memory.SharedMemory(name=shm_name)
-        if shm_specs is not None:
-            try:  # parent owns the segment lifecycle (see repro.nn.parallel)
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
+        shm = attach(shm_name)
         in_view, out_view = _carve_transport(
             shm.buf, max_batch, core.input_shape, core.input_dtype,
             core.num_classes,
         )
-        conn.send(("ready", core.num_classes, core.fault_version))
+        conn.send("ready")
         while True:
             cmd = conn.recv()
             op = cmd[0]
             if op == "infer":
                 n = cmd[1]
-                logits = core.infer(in_view[:n])
-                out_view[:n] = logits
-                conn.send(("ok", n, core.fault_version))
+                out_view[:n] = core.infer(in_view[:n])
+                conn.send(core.fault_version)
             elif op == "health":
-                conn.send(("ok", core.health()))
+                conn.send(core.health())
             elif op == "inject":
-                conn.send(("ok", core.inject_faults(cmd[1], cmd[2])))
+                conn.send(core.inject_faults(cmd[1], cmd[2]))
             elif op == "remap":
-                conn.send(("ok", core.remap()))
+                conn.send(core.remap())
             elif op == "stop":
-                live.close()
-                conn.send(("snapshot", core.snapshot()))
-                return
+                return core.snapshot()
             else:  # pragma: no cover - protocol error
                 raise RuntimeError(f"unknown serve command {cmd!r}")
-    except (EOFError, KeyboardInterrupt):  # parent died / interrupted
-        pass
-    except Exception:
-        traceback.print_exc()
-        raise
     finally:
-        live.close()  # idempotent; covers the exception exits too
         in_view = out_view = None  # noqa: F841 - drop shm views before close
         if shm is not None:
             try:
                 shm.close()
-            except Exception:
+            except Exception:  # a view outlived the loop; exit unmaps it
                 pass
 
 
@@ -320,89 +295,56 @@ class ProcessReplica:
 
     def __init__(self, config: ExperimentConfig, max_batch: int,
                  replica_id: int = 0, start_method: str | None = None):
-        import multiprocessing as mp
-        from multiprocessing import shared_memory
-
         from repro.nn.data import cached_dataset
-        from repro.runner.runner import ExperimentCell, _export_datasets_shm
 
         self.replica_id = replica_id
         self.max_batch = max_batch
-        method = start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(method)
-        tc = config.train
-        # Materialise the dataset in the parent before forking so the
-        # worker inherits it copy-on-write (or attaches via the exported
-        # segments under spawn) — and to learn the tensor shapes the
-        # transport segment must hold.
-        dataset = cached_dataset(
-            tc.dataset, tc.n_train, tc.n_test, tc.image_size, config.seed
-        )
-        self.input_shape = tuple(dataset.x_train.shape[1:])
-        self.input_dtype = dataset.x_train.dtype
-        self.num_classes = dataset.num_classes
-        self._segments: list = []
-        specs = None
-        if method != "fork":
-            specs, self._segments = _export_datasets_shm(
-                [ExperimentCell(key=f"serve-{replica_id}", config=config)]
+        self._in = self._out = None
+        self._group = WorkerGroup(start_method)
+        try:
+            # The dataset is generated here, once: the worker inherits or
+            # attaches it, and its shapes size the transport segment.
+            self._group.share_datasets([config])
+            tc = config.train
+            dataset = cached_dataset(
+                tc.dataset, tc.n_train, tc.n_test, tc.image_size, config.seed
             )
-        nbytes = _transport_nbytes(
-            max_batch, self.input_shape, self.input_dtype, self.num_classes
-        )
-        self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        self._in, self._out = _carve_transport(
-            self._shm.buf, max_batch, self.input_shape, self.input_dtype,
-            self.num_classes,
-        )
-        parent_conn, child_conn = ctx.Pipe()
-        self._conn = parent_conn
-        self._proc = ctx.Process(
-            target=_replica_worker_main,
-            args=(replica_id, config, max_batch, self._shm.name, child_conn,
-                  specs),
-            daemon=True,
-            name=f"repro-serve-{replica_id}",
-        )
-        self._proc.start()
-        child_conn.close()
-        reply = self._recv()
-        if reply[0] != "ready":  # pragma: no cover - bootstrap failure
-            raise ReplicaDied(f"replica {replica_id} failed to start: {reply!r}")
+            self.input_shape = tuple(dataset.x_train.shape[1:])
+            self.input_dtype = dataset.x_train.dtype
+            self.num_classes = dataset.num_classes
+            shm = self._group.segment(_transport_nbytes(
+                max_batch, self.input_shape, self.input_dtype, self.num_classes
+            ))
+            self._in, self._out = _carve_transport(
+                shm.buf, max_batch, self.input_shape, self.input_dtype,
+                self.num_classes,
+            )
+            self._worker = self._group.start(
+                _replica_main, replica_id, config, max_batch, shm.name,
+                source=f"replica{replica_id}", name=f"repro-serve-{replica_id}",
+            )
+            self._call()  # the worker's "ready"
+        except BaseException:
+            self._in = self._out = None
+            self._group.close()
+            raise
 
     @property
     def pid(self) -> int | None:
-        return self._proc.pid
+        return self._worker.pid
 
     @property
     def alive(self) -> bool:
-        return self._proc.is_alive()
-
-    def _recv(self):
-        if not self._conn.poll(_REPLY_TIMEOUT):
-            raise ReplicaDied(
-                f"replica {self.replica_id} (pid {self.pid}) stopped replying"
-            )
-        try:
-            return self._conn.recv()
-        except (EOFError, OSError) as exc:
-            raise ReplicaDied(
-                f"replica {self.replica_id} (pid {self.pid}) died: {exc}"
-            ) from exc
+        return self._worker.alive
 
     def _call(self, *cmd):
+        """Send ``cmd`` (if any) and return the worker's reply."""
         try:
-            self._conn.send(cmd)
-        except (BrokenPipeError, OSError) as exc:
-            raise ReplicaDied(
-                f"replica {self.replica_id} (pid {self.pid}) pipe broken"
-            ) from exc
-        reply = self._recv()
-        if reply[0] not in ("ok", "snapshot"):  # pragma: no cover
-            raise ReplicaDied(f"replica {self.replica_id} error: {reply!r}")
-        return reply
+            if cmd:
+                self._worker.send(cmd)
+            return self._worker.recv(_REPLY_TIMEOUT)
+        except WorkerDied as exc:
+            raise ReplicaDied(f"replica {self.replica_id}: {exc}") from exc
 
     def infer(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         n = len(x)
@@ -411,54 +353,25 @@ class ProcessReplica:
                 f"batch of {n} exceeds the replica's {self.max_batch} slots"
             )
         np.copyto(self._in[:n], x)
-        reply = self._call("infer", n)
-        return np.array(self._out[:n], copy=True), reply[2]
+        fault_version = self._call("infer", n)
+        return np.array(self._out[:n], copy=True), fault_version
 
     def health(self) -> dict[str, Any]:
-        return self._call("health")[1]
+        return self._call("health")
 
     def inject_faults(self, post_m=None, post_n=None) -> int:
-        return self._call("inject", post_m, post_n)[1]
+        return self._call("inject", post_m, post_n)
 
     def remap(self) -> dict[str, Any]:
-        return self._call("remap")[1]
+        return self._call("remap")
 
     def kill(self) -> None:
         """SIGKILL the worker (chaos / shutdown-regression testing)."""
-        if self._proc.is_alive():
-            self._proc.kill()
-            self._proc.join(timeout=10)
+        self._worker.kill()
 
     def close(self) -> dict[str, Any] | None:
         """Stop the worker; returns its telemetry snapshot (None if dead)."""
-        snap = None
-        try:
-            if self._proc.is_alive():
-                self._conn.send(("stop",))
-                if self._conn.poll(30):
-                    reply = self._conn.recv()
-                    if reply and reply[0] == "snapshot":
-                        snap = reply[1]
-        except (BrokenPipeError, EOFError, OSError):
-            pass
-        finally:
-            self._proc.join(timeout=10)
-            if self._proc.is_alive():  # pragma: no cover - hung worker
-                self._proc.terminate()
-                self._proc.join(timeout=5)
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._in = self._out = None
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except Exception:
-                pass
-            if self._segments:
-                from repro.runner.runner import _release_segments
-
-                _release_segments(self._segments)
-                self._segments = []
-        return snap
+        snapshot = self._worker.stop()
+        self._in = self._out = None
+        self._group.close()
+        return snapshot

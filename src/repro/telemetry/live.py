@@ -46,8 +46,9 @@ Workers opt in through two environment variables, both set by
 :class:`LiveMonitor` and inherited across ``fork`` and ``spawn``:
 ``REPRO_TELEMETRY_STREAM`` (``host:port`` of the aggregator) and
 ``REPRO_FLIGHT_DIR`` (flight-recorder dump directory).  The single entry
-point :func:`attach_worker_live` is called by every worker bootstrap —
-runner cells, data-parallel ranks and serve replicas alike.
+point :func:`attach_worker_live` is called by the worker bootstrap of
+:mod:`repro.workers` — runner cells, data-parallel ranks and serve
+replicas alike.
 """
 
 from __future__ import annotations
@@ -725,11 +726,11 @@ class WorkerLive:
 def attach_worker_live(telemetry: Telemetry, source: str) -> WorkerLive:
     """Attach streaming + flight recording to a worker's sink (env-driven).
 
-    Called by every worker bootstrap — runner cells, data-parallel ranks,
-    serve replica workers — and by inline (serial) cell runs.  Reads
-    ``REPRO_TELEMETRY_STREAM`` and ``REPRO_FLIGHT_DIR``; when neither is
-    set this is a cheap no-op, and any failure to attach disables that
-    channel silently: live monitoring must never break or perturb a run.
+    Called by the :mod:`repro.workers` bootstrap and by inline (serial)
+    cell runs.  Reads ``REPRO_TELEMETRY_STREAM`` and ``REPRO_FLIGHT_DIR``;
+    when neither is set this is a cheap no-op, and any failure to attach
+    disables that channel silently: live monitoring must never break or
+    perturb a run.
     """
     streamer = flight = None
     address = os.environ.get(STREAM_ENV, "").strip()

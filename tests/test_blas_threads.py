@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.controller import build_experiment
 from repro.nn.parallel import WORKERS_ENV, DataParallelTrainer
-from repro.runner.runner import _init_worker
+from repro.workers import _init_worker
 from repro.serve.replica import ProcessReplica
 from repro.utils import blas
 from repro.utils.blas import blas_threads, set_blas_threads

@@ -227,7 +227,7 @@ class TestShmExportCleanup:
     def test_partial_failure_unlinks_created_segments(self, monkeypatch):
         from multiprocessing import shared_memory
 
-        from repro.runner.runner import _export_datasets_shm
+        from repro.workers import _export_datasets_shm
 
         created: list[str] = []
         real = shared_memory.SharedMemory
@@ -252,7 +252,7 @@ class TestShmExportCleanup:
     def test_success_leaves_segments_attachable(self):
         from multiprocessing import shared_memory
 
-        from repro.runner.runner import (
+        from repro.workers import (
             _export_datasets_shm,
             _release_segments,
         )
