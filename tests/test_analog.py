@@ -626,19 +626,19 @@ class TestEndToEndAnalog:
             h["loss"] for h in none.train_result.history
         ]
 
-    @pytest.mark.parametrize("chips", [1, 2])
-    def test_scrub_is_priced_on_the_built_chip(self, chips):
+    def test_scrub_is_priced_on_the_built_chip(self):
         """The stack holds the built member's geometry, not the unsized
         base chip's (vgg11 here builds 10 crossbars per IMA on one chip
         and 6 on each of two, against the base chip's 8)."""
         from repro.core.controller import build_experiment
 
-        config = _analog_experiment("full", chips=chips)
-        ctx = build_experiment(config)
-        members = [member.config for member in ctx.chip.chips]
-        slowest = max(members, key=lambda c: c.crossbars_per_ima)
-        assert ctx.engine.analog._chip_config == slowest
-        assert slowest.crossbars_per_ima != config.chip.crossbars_per_ima
+        for chips in (1, 2):
+            config = _analog_experiment("full", chips=chips)
+            ctx = build_experiment(config)
+            members = [member.config for member in ctx.chip.chips]
+            slowest = max(members, key=lambda c: c.crossbars_per_ima)
+            assert ctx.engine.analog._chip_config == slowest, chips
+            assert slowest.crossbars_per_ima != config.chip.crossbars_per_ima, chips
 
     def test_analog_under_fleet_sharding(self):
         from repro.core.controller import run_experiment

@@ -9,6 +9,9 @@ receive deadline, and raising.  Every case must end promptly, either in
 process and no shared-memory segment behind.  Below it, the same
 guarantees on the three users: a SIGKILLed spawn sweep, a replica or a
 data-parallel start that fails partway, and a rank killed mid-epoch.
+
+One test runs every case in turn and checks after each that no child and
+no new segment remain; a failure names its case.
 """
 
 import json
@@ -20,6 +23,7 @@ import sys
 import textwrap
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -69,16 +73,6 @@ def _config(seed: int = 11, **kw) -> ExperimentConfig:
     )
 
 
-@pytest.fixture(autouse=True)
-def _no_leaks(monkeypatch):
-    """Each test ends with no live child and no new segment."""
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    before = _segments()
-    yield
-    assert mp.active_children() == []
-    assert _segments() <= before
-
-
 # --------------------------------------------------------------------- #
 # the chaos matrix, on toy targets
 # --------------------------------------------------------------------- #
@@ -114,89 +108,94 @@ def _start_toy(method, fault):
     return group, shm.name, worker
 
 
-@pytest.mark.parametrize("method", START_METHODS)
-class TestChaosMatrix:
-    def _run(self, method, fault, drive, deadline=DEADLINE):
-        group, name, worker = _start_toy(method, fault)
-        t0 = time.monotonic()
-        try:
-            outcome = drive(worker)
-        finally:
-            group.close()
-        assert time.monotonic() - t0 < deadline + SLACK
-        with pytest.raises(FileNotFoundError):
-            attach(name)
-        return outcome
+def _run_toy(method, fault, drive, deadline=DEADLINE):
+    group, name, worker = _start_toy(method, fault)
+    t0 = time.monotonic()
+    try:
+        outcome = drive(worker)
+    finally:
+        group.close()
+    assert time.monotonic() - t0 < deadline + SLACK
+    with pytest.raises(FileNotFoundError):
+        attach(name)
+    return outcome
 
-    def test_clean_round_trip(self, method):
-        def drive(worker):
-            assert worker.recv(DEADLINE) == ("ready", b"toy!")
-            worker.send("ping")
-            assert worker.recv(DEADLINE) == ("echo", "ping")
-            return worker.stop(timeout=DEADLINE)
 
-        assert self._run(method, None, drive) == "stopped"
+def _clean_round_trip(method):
+    def drive(worker):
+        assert worker.recv(DEADLINE) == ("ready", b"toy!")
+        worker.send("ping")
+        assert worker.recv(DEADLINE) == ("echo", "ping")
+        return worker.stop(timeout=DEADLINE)
 
-    def test_sigkill_before_ready(self, method):
-        def drive(worker):
-            with pytest.raises(WorkerDied, match="exited with code -9"):
-                worker.recv(DEADLINE)
+    assert _run_toy(method, None, drive) == "stopped"
 
-        self._run(method, "kill-before-ready", drive)
 
-    def test_sigkill_while_a_reply_is_due(self, method):
-        def drive(worker):
+def _sigkill_before_ready(method):
+    def drive(worker):
+        with pytest.raises(WorkerDied, match="exited with code -9"):
             worker.recv(DEADLINE)
-            worker.send("ping")
-            with pytest.raises(WorkerDied, match="exited with code -9"):
-                worker.recv(DEADLINE)
 
-        self._run(method, "kill-mid-reply", drive)
+    _run_toy(method, "kill-before-ready", drive)
 
-    def test_sigkill_after_stop_is_sent(self, method):
-        def drive(worker):
+
+def _sigkill_while_a_reply_is_due(method):
+    def drive(worker):
+        worker.recv(DEADLINE)
+        worker.send("ping")
+        with pytest.raises(WorkerDied, match="exited with code -9"):
             worker.recv(DEADLINE)
-            return worker.stop(timeout=DEADLINE)
 
-        assert self._run(method, "kill-after-stop", drive) is None
+    _run_toy(method, "kill-mid-reply", drive)
 
-    def test_hang_past_the_receive_deadline(self, method):
-        def drive(worker):
+
+def _sigkill_after_stop_is_sent(method):
+    def drive(worker):
+        worker.recv(DEADLINE)
+        return worker.stop(timeout=DEADLINE)
+
+    assert _run_toy(method, "kill-after-stop", drive) is None
+
+
+def _hang_past_the_receive_deadline(method):
+    def drive(worker):
+        worker.recv(DEADLINE)
+        worker.send("ping")
+        with pytest.raises(WorkerDied, match="no reply within"):
+            worker.recv(HANG_DEADLINE)
+
+    _run_toy(method, "hang", drive, deadline=HANG_DEADLINE)
+
+
+def _raise_in_the_child(method):
+    def drive(worker):
+        with pytest.raises(WorkerDied, match="exited with code 1"):
             worker.recv(DEADLINE)
-            worker.send("ping")
-            with pytest.raises(WorkerDied, match="no reply within"):
-                worker.recv(HANG_DEADLINE)
 
-        self._run(method, "hang", drive, deadline=HANG_DEADLINE)
+    _run_toy(method, "raise", drive)
 
-    def test_raise_in_the_child(self, method):
-        def drive(worker):
-            with pytest.raises(WorkerDied, match="exited with code 1"):
-                worker.recv(DEADLINE)
 
-        self._run(method, "raise", drive)
-
-    def test_wait_and_watch_see_only_the_death(self, method):
-        group, name, worker = _start_toy(method, "kill-mid-reply")
-        peer = group.start(_toy, None, name, source="peer", name="repro-peer")
-        deaths: list = []
-        stops: list = []
-        try:
-            for w in (worker, peer):
-                w.recv(DEADLINE)
-            on_death = watch([worker], deaths.append)
-            on_stop = watch([peer], stops.append)
-            assert wait([worker, peer], timeout=0.2) == []
-            worker.send("ping")
-            assert wait([worker, peer], timeout=DEADLINE) == [worker]
-            on_death.join(DEADLINE)
-            assert peer.stop(timeout=DEADLINE) == "stopped"
-            on_stop.join(DEADLINE)
-        finally:
-            group.close()
-        assert deaths == [worker]
-        assert stops == []  # a stopped worker's exit is not a death
-        assert not on_death.is_alive() and not on_stop.is_alive()
+def _wait_and_watch_see_only_the_death(method):
+    group, name, worker = _start_toy(method, "kill-mid-reply")
+    peer = group.start(_toy, None, name, source="peer", name="repro-peer")
+    deaths: list = []
+    stops: list = []
+    try:
+        for w in (worker, peer):
+            w.recv(DEADLINE)
+        on_death = watch([worker], deaths.append)
+        on_stop = watch([peer], stops.append)
+        assert wait([worker, peer], timeout=0.2) == []
+        worker.send("ping")
+        assert wait([worker, peer], timeout=DEADLINE) == [worker]
+        on_death.join(DEADLINE)
+        assert peer.stop(timeout=DEADLINE) == "stopped"
+        on_stop.join(DEADLINE)
+    finally:
+        group.close()
+    assert deaths == [worker]
+    assert stops == []  # a stopped worker's exit is not a death
+    assert not on_death.is_alive() and not on_stop.is_alive()
 
 
 # --------------------------------------------------------------------- #
@@ -230,7 +229,7 @@ _SWEEP = textwrap.dedent("""
 """)
 
 
-def test_killed_spawn_sweep_leaves_no_segments():
+def _killed_spawn_sweep_leaves_no_segments():
     """SIGKILL a spawn sweep's parent once a cell has come back, so both
     workers have attached the dataset exports: the shared resource
     tracker must still unlink every segment once the workers exit."""
@@ -262,48 +261,46 @@ def test_killed_spawn_sweep_leaves_no_segments():
                 pass
 
 
-class TestFailedStart:
-    @pytest.mark.parametrize("method", START_METHODS)
-    def test_replica_build_failure_releases_everything(self, method):
-        with pytest.raises(ReplicaDied):
-            ProcessReplica(_config(policy="no-such-policy"), max_batch=4,
-                           start_method=method)
-        # The autouse fixture checks right away: no child, no segment.
+def _replica_build_failure_releases_everything(method):
+    with pytest.raises(ReplicaDied):
+        ProcessReplica(_config(policy="no-such-policy"), max_batch=4,
+                       start_method=method)
+    # The check after every case runs right away: no child, no segment.
 
-    def test_dp_export_failure_releases_the_exchange_segment(self, monkeypatch):
-        from multiprocessing import shared_memory
 
-        created: list[str] = []
-        real = shared_memory.SharedMemory
+def _dp_export_failure_releases_the_exchange_segment():
+    from multiprocessing import shared_memory
 
-        def flaky(*args, **kwargs):
-            if kwargs.get("create") and len(created) == 2:
-                raise OSError("no space left on /dev/shm")
-            shm = real(*args, **kwargs)
-            if kwargs.get("create"):
-                created.append(shm.name)
-            return shm
+    created: list[str] = []
+    real = shared_memory.SharedMemory
 
-        trainer = build_experiment(
-            _config(train=dict(data_parallel=2, grad_shards=2))
-        ).trainer
-        assert isinstance(trainer, DataParallelTrainer)
-        trainer.start_method = "spawn"
-        monkeypatch.setattr(shared_memory, "SharedMemory", flaky)
-        try:
+    def flaky(*args, **kwargs):
+        if kwargs.get("create") and len(created) == 2:
+            raise OSError("no space left on /dev/shm")
+        shm = real(*args, **kwargs)
+        if kwargs.get("create"):
+            created.append(shm.name)
+        return shm
+
+    trainer = build_experiment(
+        _config(train=dict(data_parallel=2, grad_shards=2))
+    ).trainer
+    assert isinstance(trainer, DataParallelTrainer)
+    trainer.start_method = "spawn"
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shared_memory, "SharedMemory", flaky)
             with pytest.raises(OSError, match="no space left"):
                 trainer.train_epoch(0)
-        finally:
-            monkeypatch.undo()
-            trainer.shutdown()
-        assert len(created) == 2
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                attach(name)
+    finally:
+        trainer.shutdown()
+    assert len(created) == 2
+    for name in created:
+        with pytest.raises(FileNotFoundError):
+            attach(name)
 
 
-@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-def test_killed_rank_breaks_the_epoch():
+def _killed_rank_breaks_the_epoch():
     """SIGKILL rank 1 mid-epoch while rank 0 heads for a barrier: the
     epoch raises at once, not after the 600 s barrier timeout."""
     trainer = build_experiment(
@@ -330,3 +327,37 @@ def test_killed_rank_breaks_the_epoch():
         trainer.shutdown()
     assert len(steps) == 2
     assert not [p for p in mp.active_children() if p.name.startswith("repro-dp-")]
+
+
+def _cases():
+    """``(label, case)`` pairs: the matrix per start method, then the users."""
+    matrix = [
+        ("clean round trip", _clean_round_trip),
+        ("SIGKILL before ready", _sigkill_before_ready),
+        ("SIGKILL while a reply is due", _sigkill_while_a_reply_is_due),
+        ("SIGKILL after stop is sent", _sigkill_after_stop_is_sent),
+        ("hang past the receive deadline", _hang_past_the_receive_deadline),
+        ("raise in the child", _raise_in_the_child),
+        ("wait and watch see only the death", _wait_and_watch_see_only_the_death),
+        ("replica build failure", _replica_build_failure_releases_everything),
+    ]
+    cases = [(f"{method}: {label}", partial(case, method))
+             for method in START_METHODS for label, case in matrix]
+    cases.append(("killed spawn sweep", _killed_spawn_sweep_leaves_no_segments))
+    cases.append(("dp spawn export failure",
+                  _dp_export_failure_releases_the_exchange_segment))
+    if HAVE_FORK:
+        cases.append(("dp rank killed mid-epoch", _killed_rank_breaks_the_epoch))
+    return cases
+
+
+def test_every_exit_path_leaves_nothing_behind(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    for label, case in _cases():
+        before = _segments()
+        try:
+            case()
+            assert mp.active_children() == []
+            assert _segments() <= before
+        except (Exception, pytest.fail.Exception) as exc:
+            raise AssertionError(f"case {label!r} failed") from exc
