@@ -22,6 +22,64 @@ __all__ = [
 ]
 
 
+def _free_mask(rows: int, cols: int, forbidden: np.ndarray | None) -> np.ndarray:
+    """A fresh ``(rows, cols)`` mask, True on every cell not in the flat
+    indices ``forbidden``."""
+    free = np.ones((rows, cols), dtype=bool)
+    if forbidden is not None:
+        free.reshape(-1)[np.asarray(forbidden, dtype=np.int64)] = False
+    return free
+
+
+def _pick_uniform(rng: np.random.Generator, free: np.ndarray, count: int) -> np.ndarray:
+    """Up to ``count`` distinct flat indices drawn uniformly where the
+    1-D boolean mask ``free`` is True.
+
+    ``rng.choice(n, ...)`` indexing the ``n`` free cells draws the same
+    cells, and leaves the generator in the same state, as ``choice`` over
+    the array of those cells.
+    """
+    pool = free.nonzero()[0]
+    return pool[rng.choice(pool.size, size=min(count, pool.size), replace=False)]
+
+
+def _pick_clustered(
+    rng: np.random.Generator,
+    free: np.ndarray,
+    count: int,
+    cluster_fraction: float,
+) -> np.ndarray:
+    """:func:`clustered_cells` over ``free``, a C-contiguous ``(rows,
+    cols)`` mask of the cells that may be picked; clears the cells it
+    picks for the cluster in ``free``."""
+    rows, cols = free.shape
+    count = min(count, rows * cols)
+    if count <= 0:
+        return np.empty(0, dtype=np.int64)
+    n_cluster = min(int(round(count * cluster_fraction)), count)
+    picked = np.empty(0, dtype=np.int64)
+    if n_cluster > 0:
+        # Window side: smallest square that can hold the clustered cells with
+        # ~50% slack so the cluster is dense but not a solid block.
+        side = max(1, math.ceil(math.sqrt(n_cluster * 1.5)))
+        side = min(side, rows, cols)
+        r0 = int(rng.integers(0, rows - side + 1))
+        c0 = int(rng.integers(0, cols - side + 1))
+        # The window's free cells in ascending flat order.
+        rs, cs = slice(r0, r0 + side), slice(c0, c0 + side)
+        window = np.arange(rows * cols).reshape(rows, cols)[rs, cs][free[rs, cs]]
+        if window.size:
+            take = min(n_cluster, window.size)
+            picked = window[rng.choice(window.size, size=take, replace=False)]
+    remainder = count - picked.size
+    if remainder <= 0:
+        return picked
+    flat = free.reshape(-1)
+    flat[picked] = False
+    spread = _pick_uniform(rng, flat, remainder)
+    return np.concatenate([picked, spread]) if picked.size else spread
+
+
 def uniform_cells(
     rng: np.random.Generator,
     rows: int,
@@ -35,18 +93,9 @@ def uniform_cells(
     chosen (e.g. cells that are already stuck).  If fewer than ``count``
     candidates remain, all remaining candidates are returned.
     """
-    total = rows * cols
     if count < 0:
         raise ValueError("count must be non-negative")
-    if forbidden is None or len(forbidden) == 0:
-        candidates = total
-        picked = rng.choice(total, size=min(count, total), replace=False)
-        return np.asarray(picked, dtype=np.int64)
-    allowed = np.ones(total, dtype=bool)
-    allowed[np.asarray(forbidden, dtype=np.int64)] = False
-    pool = np.flatnonzero(allowed)
-    take = min(count, pool.size)
-    return np.asarray(rng.choice(pool, size=take, replace=False), dtype=np.int64)
+    return _pick_uniform(rng, _free_mask(rows, cols, forbidden).reshape(-1), count)
 
 
 def clustered_cells(
@@ -66,47 +115,9 @@ def clustered_cells(
     """
     if not (0.0 <= cluster_fraction <= 1.0):
         raise ValueError("cluster_fraction must lie in [0, 1]")
-    count = min(count, rows * cols)
-    if count <= 0:
-        return np.empty(0, dtype=np.int64)
-
-    n_cluster = int(round(count * cluster_fraction))
-    n_cluster = min(n_cluster, count)
-
-    chosen: list[np.ndarray] = []
-    taken = (
-        np.asarray(forbidden, dtype=np.int64)
-        if forbidden is not None
-        else np.empty(0, dtype=np.int64)
+    return _pick_clustered(
+        rng, _free_mask(rows, cols, forbidden), count, cluster_fraction
     )
-
-    if n_cluster > 0:
-        # Window side: smallest square that can hold the clustered cells with
-        # ~50% slack so the cluster is dense but not a solid block.
-        side = max(1, math.ceil(math.sqrt(n_cluster * 1.5)))
-        side = min(side, rows, cols)
-        r0 = int(rng.integers(0, rows - side + 1))
-        c0 = int(rng.integers(0, cols - side + 1))
-        rr, cc = np.meshgrid(
-            np.arange(r0, r0 + side), np.arange(c0, c0 + side), indexing="ij"
-        )
-        window = (rr * cols + cc).ravel()
-        window = np.setdiff1d(window, taken, assume_unique=False)
-        take = min(n_cluster, window.size)
-        if take > 0:
-            picked = rng.choice(window, size=take, replace=False)
-            chosen.append(np.asarray(picked, dtype=np.int64))
-            taken = np.concatenate([taken, picked])
-
-    placed = sum(a.size for a in chosen)
-    remainder = count - placed
-    if remainder > 0:
-        spread = uniform_cells(rng, rows, cols, remainder, forbidden=taken)
-        chosen.append(spread)
-
-    if not chosen:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chosen)
 
 
 def draw_pre_deployment_densities(

@@ -295,6 +295,38 @@ class ProcessReplica:
 
     def __init__(self, config: ExperimentConfig, max_batch: int,
                  replica_id: int = 0, start_method: str | None = None):
+        self._start(config, max_batch, replica_id, start_method)
+        try:
+            self._call()  # the worker's "ready"
+        except BaseException:
+            self._discard()
+            raise
+
+    @classmethod
+    def start_all(cls, config: ExperimentConfig, max_batch: int, count: int,
+                  start_method: str | None = None) -> list["ProcessReplica"]:
+        """Replicas ``0 .. count - 1``, every worker started before any
+        "ready" is awaited, so their builds run side by side.  When one
+        fails to start, every replica already started is killed and its
+        transport released before the error propagates."""
+        replicas: list[ProcessReplica] = []
+        try:
+            for rid in range(count):
+                replica = cls.__new__(cls)
+                replica._start(config, max_batch, rid, start_method)
+                replicas.append(replica)
+            for replica in replicas:
+                replica._call()  # the worker's "ready"
+        except BaseException:
+            for replica in replicas:
+                replica._discard()
+            raise
+        return replicas
+
+    def _start(self, config: ExperimentConfig, max_batch: int,
+               replica_id: int, start_method: str | None) -> None:
+        """Size the transport segment and start the worker; a failure
+        releases both."""
         from repro.nn.data import cached_dataset
 
         self.replica_id = replica_id
@@ -323,11 +355,14 @@ class ProcessReplica:
                 _replica_main, replica_id, config, max_batch, shm.name,
                 source=f"replica{replica_id}", name=f"repro-serve-{replica_id}",
             )
-            self._call()  # the worker's "ready"
         except BaseException:
-            self._in = self._out = None
-            self._group.close()
+            self._discard()
             raise
+
+    def _discard(self) -> None:
+        """Kill the worker and release the transport.  Idempotent."""
+        self._in = self._out = None
+        self._group.close()
 
     @property
     def pid(self) -> int | None:
@@ -372,6 +407,5 @@ class ProcessReplica:
     def close(self) -> dict[str, Any] | None:
         """Stop the worker; returns its telemetry snapshot (None if dead)."""
         snapshot = self._worker.stop()
-        self._in = self._out = None
-        self._group.close()
+        self._discard()
         return snapshot

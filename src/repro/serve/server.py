@@ -130,19 +130,25 @@ class InferenceServer:
         )
         self.batcher = MicroBatcher(self.serve.max_batch, self.serve.max_wait_us)
 
-        cls = ProcessReplica if self.serve.workers else LocalReplica
-        kwargs = (
-            {"start_method": self.serve.start_method} if self.serve.workers else {}
-        )
-        self.replicas: dict[int, Any] = {}
-        self._locks: dict[int, threading.Lock] = {}
-        self._queues: dict[int, Queue] = {}
-        for rid in range(self.serve.replicas):
-            self.replicas[rid] = cls(config, self.serve.max_batch,
-                                     replica_id=rid, **kwargs)
-            self._locks[rid] = threading.Lock()
-            self._queues[rid] = Queue(maxsize=1)
-            self.router.register(rid, self.replicas[rid].health())
+        if self.serve.workers:
+            # Every worker starts before any is awaited: the builds overlap.
+            replicas = ProcessReplica.start_all(
+                config, self.serve.max_batch, self.serve.replicas,
+                start_method=self.serve.start_method,
+            )
+        else:
+            replicas = [LocalReplica(config, self.serve.max_batch, replica_id=rid)
+                        for rid in range(self.serve.replicas)]
+        self.replicas: dict[int, Any] = dict(enumerate(replicas))
+        self._locks = {rid: threading.Lock() for rid in self.replicas}
+        self._queues = {rid: Queue(maxsize=1) for rid in self.replicas}
+        try:
+            for rid, replica in self.replicas.items():
+                self.router.register(rid, replica.health())
+        except BaseException:
+            for replica in replicas:
+                replica.close()
+            raise
         first = self.replicas[0]
         self.input_shape = first.input_shape
         self.input_dtype = first.input_dtype
@@ -232,13 +238,17 @@ class InferenceServer:
         self._fail_batch(batch, ReplicaDied("no serving replicas left"))
 
     def _fail_batch(self, batch: list[Request], exc: Exception) -> None:
-        for request in batch:
-            request.future.set_error(exc)
-        with self._tel_lock:
-            self.telemetry.count("serve.failed", len(batch))
+        """Fail a batch the dispatcher counted in flight."""
+        self._fail_requests(batch, exc)
         with self._idle_cv:
             self._inflight -= len(batch)
             self._idle_cv.notify_all()
+
+    def _fail_requests(self, requests: list[Request], exc: Exception) -> None:
+        for request in requests:
+            request.future.set_error(exc)
+        with self._tel_lock:
+            self.telemetry.count("serve.failed", len(requests))
 
     # ------------------------------------------------------------------ #
     # replica runners
@@ -391,9 +401,10 @@ class InferenceServer:
         self._closed = True
         self._stopping = True
         if not drain:
+            # Never dispatched, so never counted in flight.
             pending = self.batcher.drain_pending()
             if pending:
-                self._fail_batch(pending, RuntimeError("server shut down"))
+                self._fail_requests(pending, RuntimeError("server shut down"))
         self.batcher.close()
         self._dispatcher.join(timeout=timeout)
         for rid in self.replicas:

@@ -36,6 +36,7 @@ class TestClusteredCells:
         cells = clustered_cells(rng, 32, 32, 60)
         assert len(cells) == 60
         assert len(np.unique(cells)) == 60
+        assert clustered_cells(rng, 8, 8, 0).size == 0
 
     def test_cluster_concentration(self, rng):
         """Two-thirds of cells should land in a small window: the spatial
@@ -61,9 +62,6 @@ class TestClusteredCells:
     def test_invalid_fraction(self, rng):
         with pytest.raises(ValueError):
             clustered_cells(rng, 8, 8, 4, cluster_fraction=1.5)
-
-    def test_zero_count(self, rng):
-        assert clustered_cells(rng, 8, 8, 0).size == 0
 
 
 class TestPreDeploymentDensities:

@@ -335,7 +335,13 @@ class TestInferenceServer:
             _tiny(), ServeConfig(max_batch=4, max_wait_us=200_000, replicas=1)
         )
         futures = [srv.submit(x) for x in samples]
+        t0 = time.monotonic()
         srv.close(drain=False)
+        # The failed requests were never in flight: the dispatcher sees
+        # nothing outstanding and exits, so close does not wait out its
+        # join timeout.
+        assert time.monotonic() - t0 < 10.0
+        assert not srv._dispatcher.is_alive()
         outcomes = []
         for f in futures:
             try:
@@ -356,12 +362,26 @@ class TestProcessReplicaResilience:
             _tiny(),
             ServeConfig(max_batch=4, max_wait_us=500, replicas=2, workers=True),
         )
+        # Replica 1 holds its first batch until replica 0 is dead, so the
+        # dispatcher must hand replica 0 a batch: the kill lands the
+        # moment replica 0 holds one, whichever replica the router picked.
+        killed = threading.Event()
+        infer0, infer1 = srv.replicas[0].infer, srv.replicas[1].infer
+
+        def kill_holding_a_batch(xs):
+            srv.kill_replica(0)
+            killed.set()
+            return infer0(xs)
+
+        def wait_for_the_kill(xs):
+            assert killed.wait(60)
+            return infer1(xs)
+
+        srv.replicas[0].infer = kill_holding_a_batch
+        srv.replicas[1].infer = wait_for_the_kill
         try:
-            # sustained wave so replica 0 is mid-batch when killed
             xs = np.concatenate([samples] * 3)
             futures = [srv.submit(x) for x in xs]
-            time.sleep(0.05)
-            srv.kill_replica(0)
             results = [f.result(timeout=120) for f in futures]
         finally:
             srv.close()

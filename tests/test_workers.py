@@ -7,8 +7,9 @@ reply, while a reply is due, after the stop was sent, hung past the
 receive deadline, and raising.  Every case must end promptly, either in
 ``WorkerDied`` or with ``stop`` returning no reply, and leave no child
 process and no shared-memory segment behind.  Below it, the same
-guarantees on the three users: a SIGKILLed spawn sweep, a replica or a
-data-parallel start that fails partway, and a rank killed mid-epoch.
+guarantees on the three users: a SIGKILLed spawn sweep, a replica, a
+two-replica server or a data-parallel start that fails partway, and a
+rank killed mid-epoch.
 
 One test runs every case in turn and checks after each that no child and
 no new segment remain; a failure names its case.
@@ -29,6 +30,8 @@ import pytest
 
 from repro.core.controller import build_experiment
 from repro.nn.parallel import WORKERS_ENV, DataParallelTrainer
+from repro.serve import InferenceServer, ServeConfig
+from repro.serve import replica as serve_replica
 from repro.serve.replica import ProcessReplica, ReplicaDied
 from repro.utils.config import (
     ChipConfig,
@@ -268,6 +271,62 @@ def _replica_build_failure_releases_everything(method):
     # The check after every case runs right away: no child, no segment.
 
 
+#: the replica worker's entry point, as imported (a forked child sees
+#: the parent's patched module attribute, a spawned child does not).
+_REPLICA_MAIN = serve_replica._replica_main
+
+
+def _replica_main_dying_as_1(conn, tel, replica_id, *args):
+    if replica_id == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _REPLICA_MAIN(conn, tel, replica_id, *args)
+
+
+def _two_replica_server(method):
+    return InferenceServer(_config(), ServeConfig(
+        max_batch=4, replicas=2, workers=True, start_method=method))
+
+
+def _second_replica_start_raises(method):
+    """Replica 1 cannot start: replica 0, already started, goes too."""
+    real = WorkerGroup.start
+    calls: list[int] = []
+
+    def start(group, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("cannot start replica 1")
+        return real(group, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WorkerGroup, "start", start)
+        with pytest.raises(OSError, match="replica 1"):
+            _two_replica_server(method)
+    assert len(calls) == 2
+
+
+def _second_replica_dies_before_ready(method):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serve_replica, "_replica_main", _replica_main_dying_as_1)
+        with pytest.raises(ReplicaDied, match="replica 1"):
+            _two_replica_server(method)
+
+
+def _replica_lost_before_registration(method):
+    """Replica 1 dies after its "ready", before the server registers it."""
+    real = ProcessReplica.health
+
+    def health(replica):
+        if replica.replica_id == 1:
+            replica.kill()
+        return real(replica)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProcessReplica, "health", health)
+        with pytest.raises(ReplicaDied, match="replica 1"):
+            _two_replica_server(method)
+
+
 def _dp_export_failure_releases_the_exchange_segment():
     from multiprocessing import shared_memory
 
@@ -340,6 +399,9 @@ def _cases():
         ("raise in the child", _raise_in_the_child),
         ("wait and watch see only the death", _wait_and_watch_see_only_the_death),
         ("replica build failure", _replica_build_failure_releases_everything),
+        ("second replica start raises", _second_replica_start_raises),
+        ("second replica dies before ready", _second_replica_dies_before_ready),
+        ("replica lost before registration", _replica_lost_before_registration),
     ]
     cases = [(f"{method}: {label}", partial(case, method))
              for method in START_METHODS for label, case in matrix]
