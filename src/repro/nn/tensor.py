@@ -224,6 +224,14 @@ class BufferArena:
             self._free[key] = pool[::-1]
         self._granted.clear()
 
+    def clear(self) -> None:
+        """Drop every buffer, so that a process which trains model after
+        model holds one model's buffers, not all of them."""
+        self._buffers.clear()
+        self._free.clear()
+        self._keys.clear()
+        self._granted.clear()
+
 
 _STEP_ARENA = BufferArena()
 

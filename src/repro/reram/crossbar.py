@@ -38,8 +38,11 @@ class Crossbar:
         self.xbar_id = int(xbar_id)
         self.config = config
         self.fault_map = FaultMap(config.rows, config.cols, codes=codes)
-        #: fractional conductances in [0, 1] the programmer attempted to store.
-        self.programmed = np.zeros((config.rows, config.cols), dtype=np.float64)
+        #: fractional conductances in [0, 1] the programmer attempted to
+        #: store; None until the first :meth:`program` (the array reads
+        #: all zero until then).  Training never programs a crossbar, so
+        #: a chip's thousands of crossbars allocate none.
+        self.programmed: np.ndarray | None = None
         #: number of full-array write (programming) operations performed.
         self.write_count = 0
 
@@ -53,10 +56,11 @@ class Crossbar:
         Counts as one array write for endurance purposes.
         """
         fractions = np.asarray(fractions, dtype=np.float64)
-        if fractions.shape != self.programmed.shape:
+        shape = (self.config.rows, self.config.cols)
+        if fractions.shape != shape:
             raise ValueError(
                 f"program shape {fractions.shape} does not match "
-                f"crossbar {self.programmed.shape}"
+                f"crossbar {shape}"
             )
         if np.any(fractions < -1e-9) or np.any(fractions > 1 + 1e-9):
             raise ValueError("programmed fractions must lie in [0, 1]")
@@ -71,7 +75,10 @@ class Crossbar:
         resistances; for weight arithmetic the logical clamp suffices),
         SA0 cells read as fully-off (fraction 0).
         """
-        eff = self.programmed.copy()
+        if self.programmed is None:
+            eff = np.zeros((self.config.rows, self.config.cols))
+        else:
+            eff = self.programmed.copy()
         eff[self.fault_map.sa1_mask] = 1.0
         eff[self.fault_map.sa0_mask] = 0.0
         return eff

@@ -14,17 +14,20 @@ worker processes:
 * **Failure isolation** — a cell that *raises* produces a
   :class:`CellResult` carrying the traceback instead of killing the whole
   sweep.
-* **Crash and hang resilience** — dispatch is asynchronous: every
-  in-flight cell runs in its own worker process with a known pid, a
-  result pipe and an optional wall-clock deadline.  A worker that dies
-  (SIGKILL under memory pressure, segfault) or exceeds the timeout is
-  *noticed* — the old ``pool.imap_unordered`` would block forever on the
-  lost task — and the cell is retried with exponential backoff under a
-  bounded :class:`RetryPolicy`; a fresh worker process replaces the
-  poisoned one.  Exhausted retries yield a failed ``CellResult`` (NaN
-  downstream), never a hang.  ``cell_crashed`` / ``cell_timeout`` /
-  ``cell_retried`` telemetry events and ``runner.*`` counters record
-  every recovery.
+* **Crash and hang resilience** — dispatch is asynchronous: at most
+  ``workers`` worker processes live at once, each running one cell
+  attempt at a time and then waiting for the next, so a process is
+  forked once per worker slot rather than once per attempt and its
+  imports, heap and page tables stay warm from cell to cell.  Every busy
+  worker has a known pid, a result pipe and an optional wall-clock
+  deadline.  A worker that dies (SIGKILL under memory pressure,
+  segfault) or exceeds the timeout is *noticed* — the old
+  ``pool.imap_unordered`` would block forever on the lost task — killed,
+  reaped and replaced, and its cell is retried with exponential backoff
+  under a bounded :class:`RetryPolicy`.  Exhausted retries yield a failed
+  ``CellResult`` (NaN downstream), never a hang.  ``cell_crashed`` /
+  ``cell_timeout`` / ``cell_retried`` telemetry events and ``runner.*``
+  counters record every recovery.
 * **Checkpoint/resume** — ``run_experiments(checkpoint=path)`` appends
   each finished cell to a JSONL checkpoint
   (:mod:`repro.runner.checkpoint`) and skips cells the file already
@@ -32,8 +35,11 @@ worker processes:
 * **One worker substrate** — the workers start, attach the datasets,
   pin one BLAS thread and report their death through :mod:`repro.workers`,
   which also runs serve replicas and data-parallel ranks; this module
-  keeps only its policy: one process per attempt, deadlines,
-  retry/backoff and ``REPRO_RUNNER_CHAOS``.
+  keeps only its policy: one process per worker slot, replaced on death
+  or timeout, deadlines, retry/backoff and ``REPRO_RUNNER_CHAOS``.
+  What a cell gets stays per cell in any process: the global NumPy
+  seed from its config, its own telemetry sink streamed live under
+  ``cell-{index}``, and an empty step arena when it ends.
 
 Environment knobs: ``REPRO_BENCH_WORKERS`` (worker count, ``"auto"`` =
 one per CPU, default serial), ``REPRO_BENCH_TIMEOUT`` (per-cell seconds,
@@ -65,6 +71,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.nn.data import cached_dataset
+from repro.nn.tensor import step_arena
 from repro.runner.checkpoint import CheckpointStore, cell_fingerprint
 from repro.telemetry import Telemetry, null_telemetry
 from repro.telemetry.live import FLIGHT_ENV, attach_worker_live, flight_path
@@ -298,37 +305,39 @@ def _maybe_chaos(cell: ExperimentCell, attempt: int) -> None:
 # --------------------------------------------------------------------- #
 # worker body
 # --------------------------------------------------------------------- #
-def _run_cell(
-    indexed: tuple[int, ExperimentCell], attempt: int = 1,
-    tel: Telemetry | None = None,
-) -> tuple[int, CellResult]:
-    """Run one experiment, never raise."""
-    index, cell = indexed
+def _run_cell(index: int, cell: ExperimentCell, attempt: int = 1,
+              chaos: bool = False) -> CellResult:
+    """Run one experiment in this process, never raise.
+
+    Serial runs call this inline, workers once per attempt they are
+    handed (``chaos`` arms ``REPRO_RUNNER_CHAOS``, inside the cell's live
+    attachments so a SIGKILLed attempt still leaves a flight dump).
+    """
     t0 = time.perf_counter()
     # Belt-and-braces per-cell seeding of the *global* NumPy RNG: the
     # simulator draws everything from the config-seeded RngHub, but any
     # stray np.random user is made deterministic per cell rather than
-    # inheriting whatever state the worker accumulated.  The attempt
+    # inheriting whatever state the process accumulated.  The attempt
     # number is deliberately absent — a retried cell must be bit-identical
     # to a first-try success.
     np.random.seed((int(cell.config.seed) * 2654435761 + index) % (2**32))
-    live = None
-    if tel is None:
-        # Inline (serial) path: pooled workers pass their pre-attached
-        # sink in so the streamer/flight recorder cover the whole worker
-        # lifetime, chaos window included.
-        tel = Telemetry(echo=False)
-        live = attach_worker_live(tel, f"cell-{index}")
+    tel = Telemetry(echo=False)
+    live = attach_worker_live(tel, f"cell-{index}")
     try:
+        if chaos:
+            _maybe_chaos(cell, attempt)
         from repro.core.controller import run_experiment
 
         result = run_experiment(cell.config, telemetry=tel)
         ok, error = True, None
     except Exception:
         result, ok, error = None, False, traceback.format_exc()
-    if live is not None:
+    finally:
         live.close()
-    return index, CellResult(
+        # The next cell may train another model: keep none of this one's
+        # step buffers.
+        step_arena().clear()
+    return CellResult(
         key=cell.key,
         ok=ok,
         result=result,
@@ -342,27 +351,25 @@ def _run_cell(
 
 
 def _cell_main(conn, tel: Telemetry, index: int, cell: ExperimentCell,
-               attempt: int) -> tuple[int, CellResult]:
-    """Worker target of one cell attempt; the result is its final reply.
+               attempt: int) -> None:
+    """Worker loop: run the attempt it was started with, reply
+    ``(index, CellResult)``, then run each ``(index, cell, attempt)`` it
+    is sent until ``("stop",)``.
 
-    A failure around the cell (chaos ``raise``) still produces a
-    CellResult; a worker that dies without one is a crash.
+    Each cell attaches its own sink (``tel``, the worker's, stays
+    unused); a worker that dies without a reply is a crash of the
+    attempt it was running.
     """
-    try:
-        _maybe_chaos(cell, attempt)
-        return _run_cell((index, cell), attempt=attempt, tel=tel)
-    except BaseException:
-        return index, CellResult(
-            key=cell.key,
-            ok=False,
-            result=None,
-            error=traceback.format_exc(),
-            wall_seconds=0.0,
-            worker_pid=os.getpid(),
-            tags=dict(cell.tags),
-            telemetry=tel.snapshot(),
-            attempts=attempt,
-        )
+    while True:
+        result = _run_cell(index, cell, attempt, chaos=True)
+        try:
+            conn.send((index, result))
+        except OSError:  # the parent is gone
+            return None
+        message = conn.recv()
+        if message == ("stop",):
+            return None
+        index, cell, attempt = message
 
 
 # --------------------------------------------------------------------- #
@@ -370,7 +377,7 @@ def _cell_main(conn, tel: Telemetry, index: int, cell: ExperimentCell,
 # --------------------------------------------------------------------- #
 @dataclass
 class _InFlight:
-    """One live worker process and the cell attempt it is running."""
+    """A cell attempt and the worker running it."""
 
     index: int
     cell: ExperimentCell
@@ -382,7 +389,7 @@ class _InFlight:
 
 @dataclass
 class _Pending:
-    """A cell attempt waiting for a worker slot (``not_before`` = backoff)."""
+    """A cell attempt waiting for a worker (``not_before`` = backoff)."""
 
     index: int
     attempt: int
@@ -399,24 +406,42 @@ def _dispatch(
     tel: Telemetry,
     record: Callable[[int, CellResult], None],
 ) -> None:
-    """Fan ``todo`` cells across at most ``workers`` live processes.
+    """Run ``todo`` cells on at most ``workers`` live worker processes.
 
-    Unlike ``Pool.imap_unordered`` — which loses a task forever when its
-    worker dies and then blocks on the result that will never come — every
-    in-flight cell here owns its process, so the dispatcher can attribute
-    a death or a blown deadline to the exact cell, kill/reap the process,
-    and re-queue the cell under the retry policy.  ``group`` kills the
-    workers still in flight when the sweep is interrupted.
+    Each pending cell goes to an idle worker; a new worker starts only
+    when no idle one is alive and a slot is free.  Unlike
+    ``Pool.imap_unordered`` — which loses a task forever when its worker
+    dies and then blocks on the result that will never come — every busy
+    worker runs exactly one known attempt, so the dispatcher can
+    attribute a death or a blown deadline to the exact cell, kill and
+    reap that worker, and re-queue the cell under the retry policy.  An
+    idle worker that dies is dropped.  When the queue drains the idle
+    workers are stopped and joined; ``group`` kills those still running
+    when the sweep is interrupted.
     """
     pending: list[_Pending] = [_Pending(i, 1, 0.0) for i in todo]
-    inflight: dict[int, _InFlight] = {}
+    inflight: dict[Worker, _InFlight] = {}
+    idle: list[Worker] = []
 
-    def _launch(item: _Pending) -> None:
+    def _hand_out(item: _Pending) -> bool:
+        """Give ``item`` to an idle worker, else to a new one while a
+        slot is free; False when every slot is busy."""
         cell = cell_list[item.index]
-        worker = group.start(_cell_main, item.index, cell, item.attempt,
-                             source=f"cell-{item.index}")
+        worker = None
+        while idle and worker is None:
+            worker = idle.pop()
+            try:
+                worker.send((item.index, cell, item.attempt))
+            except WorkerDied:  # it died while idle: the cell never ran
+                worker.close()
+                worker = None
+        if worker is None:
+            if len(inflight) >= workers:
+                return False
+            worker = group.start(_cell_main, item.index, cell, item.attempt,
+                                 source=None)
         now = time.monotonic()
-        inflight[item.index] = _InFlight(
+        inflight[worker] = _InFlight(
             index=item.index,
             cell=cell,
             attempt=item.attempt,
@@ -424,16 +449,18 @@ def _dispatch(
             started=now,
             deadline=now + timeout if timeout else None,
         )
+        return True
 
     def _fail(flight: _InFlight, reason: str, detail: str) -> None:
         key = flight.cell.key
         verb = "timed out" if reason == "timeout" else reason
         if reason == "timeout":
             tel.event("cell_timeout", cell=key, attempt=flight.attempt,
-                      timeout_seconds=timeout)
+                      pid=flight.worker.pid, timeout_seconds=timeout)
             tel.count("runner.cell_timeouts")
         else:
             tel.event("cell_crashed", cell=key, attempt=flight.attempt,
+                      pid=flight.worker.pid,
                       exitcode=flight.worker.proc.exitcode,
                       flight=_flight_dump_of(flight.worker.pid))
             tel.count("runner.cell_crashes")
@@ -462,47 +489,44 @@ def _dispatch(
 
     while pending or inflight:
         now = time.monotonic()
-        # Fill free worker slots with released (non-backing-off) cells,
-        # in queue order.
-        free = workers - len(inflight)
-        if free > 0 and pending:
-            launchable = [p for p in pending if p.not_before <= now][:free]
-            for item in launchable:
-                pending.remove(item)
-                _launch(item)
-        if not inflight:
-            # Everything is backing off; sleep until the next release.
-            next_release = min(p.not_before for p in pending)
-            time.sleep(min(max(next_release - now, 0.0), 1.0))
-            continue
-        # Block until a worker sends a result or dies, bounded by the
-        # nearest deadline / backoff release / poll tick.
+        # Hand released (non-backing-off) cells out in queue order.
+        for item in [p for p in pending if p.not_before <= now]:
+            if not _hand_out(item):
+                break
+            pending.remove(item)
+        # Block until a worker replies or dies, bounded by the nearest
+        # deadline / backoff release / poll tick.
         wait_until = now + _POLL_SECONDS
         for flight in inflight.values():
             if flight.deadline is not None:
                 wait_until = min(wait_until, flight.deadline)
         for item in pending:
             wait_until = min(wait_until, max(item.not_before, now))
-        ready = wait([f.worker for f in inflight.values()],
-                     timeout=max(wait_until - now, 0.01))
+        ready = wait(list(inflight) + idle,
+                     timeout=max(wait_until - time.monotonic(), 0.01))
         now = time.monotonic()
-        for flight in list(inflight.values()):
-            if flight.worker in ready:
-                del inflight[flight.index]
-                try:
-                    _, res = flight.worker.recv(0)
-                except WorkerDied as exc:
-                    flight.worker.close()
-                    _fail(flight, "crashed", str(exc))
-                else:
-                    flight.worker.close()
-                    record(flight.index, res)
-            elif flight.deadline is not None and now >= flight.deadline:
-                del inflight[flight.index]
-                flight.worker.kill()
-                flight.worker.close()
+        for worker in ready:
+            flight = inflight.pop(worker, None)
+            if flight is None:  # an idle worker exited
+                idle.remove(worker)
+                worker.close()
+                continue
+            try:
+                _, res = worker.recv(0)
+            except WorkerDied as exc:
+                worker.close()
+                _fail(flight, "crashed", str(exc))
+            else:
+                idle.append(worker)
+                record(flight.index, res)
+        for worker, flight in list(inflight.items()):
+            if flight.deadline is not None and now >= flight.deadline:
+                del inflight[worker]
+                worker.kill()
+                worker.close()
                 _fail(flight, "timeout",
                       f"exceeded the {timeout:.1f}s per-cell timeout")
+    group.stop()
 
 
 def _normalise(cells: Iterable) -> list[ExperimentCell]:
@@ -651,11 +675,10 @@ def run_experiments(
         if min(workers, len(todo)) == 1:
             # Inline: cells share the per-process dataset cache directly.
             for index in todo:
-                _, res = _run_cell((index, cell_list[index]))
-                record(index, res)
+                record(index, _run_cell(index, cell_list[index]))
         else:
-            # The group kills in-flight workers and releases the shared
-            # memory on every exit path.
+            # The group kills the workers still running and releases the
+            # shared memory on every exit path.
             todo_cells = [cell_list[i] for i in todo]
             _prefill_dataset_cache(todo_cells)
             group = WorkerGroup(start_method)

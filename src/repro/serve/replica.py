@@ -295,7 +295,9 @@ class ProcessReplica:
 
     def __init__(self, config: ExperimentConfig, max_batch: int,
                  replica_id: int = 0, start_method: str | None = None):
-        self._start(config, max_batch, replica_id, start_method)
+        group = WorkerGroup(start_method)
+        group.share_datasets([config])
+        self._start(config, max_batch, replica_id, group)
         try:
             self._call()  # the worker's "ready"
         except BaseException:
@@ -306,14 +308,17 @@ class ProcessReplica:
     def start_all(cls, config: ExperimentConfig, max_batch: int, count: int,
                   start_method: str | None = None) -> list["ProcessReplica"]:
         """Replicas ``0 .. count - 1``, every worker started before any
-        "ready" is awaited, so their builds run side by side.  When one
-        fails to start, every replica already started is killed and its
-        transport released before the error propagates."""
+        "ready" is awaited, so their builds run side by side, in one
+        group that exports the dataset once for all of them.  When one
+        fails to start, every replica already started is killed and the
+        group's segments released before the error propagates."""
+        group = WorkerGroup(start_method)
+        group.share_datasets([config])
         replicas: list[ProcessReplica] = []
         try:
             for rid in range(count):
                 replica = cls.__new__(cls)
-                replica._start(config, max_batch, rid, start_method)
+                replica._start(config, max_batch, rid, group)
                 replicas.append(replica)
             for replica in replicas:
                 replica._call()  # the worker's "ready"
@@ -324,19 +329,20 @@ class ProcessReplica:
         return replicas
 
     def _start(self, config: ExperimentConfig, max_batch: int,
-               replica_id: int, start_method: str | None) -> None:
-        """Size the transport segment and start the worker; a failure
-        releases both."""
+               replica_id: int, group: WorkerGroup) -> None:
+        """Size the transport segment in ``group`` and start the worker
+        there; a failure kills the worker and, once no worker of the
+        group is left, releases the group's segments."""
         from repro.nn.data import cached_dataset
 
         self.replica_id = replica_id
         self.max_batch = max_batch
         self._in = self._out = None
-        self._group = WorkerGroup(start_method)
+        self._group = group
+        self._worker = None
         try:
-            # The dataset is generated here, once: the worker inherits or
-            # attaches it, and its shapes size the transport segment.
-            self._group.share_datasets([config])
+            # The dataset is generated in the parent, once: the worker
+            # inherits or attaches it, and its shapes size the transport.
             tc = config.train
             dataset = cached_dataset(
                 tc.dataset, tc.n_train, tc.n_test, tc.image_size, config.seed
@@ -344,14 +350,14 @@ class ProcessReplica:
             self.input_shape = tuple(dataset.x_train.shape[1:])
             self.input_dtype = dataset.x_train.dtype
             self.num_classes = dataset.num_classes
-            shm = self._group.segment(_transport_nbytes(
+            shm = group.segment(_transport_nbytes(
                 max_batch, self.input_shape, self.input_dtype, self.num_classes
             ))
             self._in, self._out = _carve_transport(
                 shm.buf, max_batch, self.input_shape, self.input_dtype,
                 self.num_classes,
             )
-            self._worker = self._group.start(
+            self._worker = group.start(
                 _replica_main, replica_id, config, max_batch, shm.name,
                 source=f"replica{replica_id}", name=f"repro-serve-{replica_id}",
             )
@@ -360,9 +366,15 @@ class ProcessReplica:
             raise
 
     def _discard(self) -> None:
-        """Kill the worker and release the transport.  Idempotent."""
+        """Kill the worker; the last replica of the group to go releases
+        the group's segments (the shared dataset, every transport).
+        Idempotent."""
         self._in = self._out = None
-        self._group.close()
+        if self._worker is not None:
+            self._worker.kill()
+            self._worker.close()
+        if all(worker.closed for worker in self._group.workers):
+            self._group.close()
 
     @property
     def pid(self) -> int | None:

@@ -8,13 +8,17 @@ available, else ``spawn``) and owns every shared-memory segment its
 workers map, released on every exit path, a failed start included.  A
 :class:`Worker`'s receive waits on the pipe and the process sentinel
 under a deadline and raises one :class:`WorkerDied`.  The child first
-attaches the live stream and the flight recorder (so a worker SIGKILLed
-at once still leaves a flight dump), then pins one BLAS thread and
-adopts the parent's datasets, then runs its target, whose return value
-is the final reply.  Workers never unregister a segment: every start
-method shares the parent's resource tracker (spawn hands the child its
-fd), so a child's unregister would drop the parent's registration and a
-SIGKILLed parent would leak the segment for good.
+attaches the live stream and the flight recorder under its ``source``
+(so a worker SIGKILLed at once still leaves a flight dump; a worker
+started without one, a sweep worker, attaches them per cell), then pins
+one BLAS thread and adopts the parent's datasets, then runs its target,
+whose return value is the final reply.  Workers never unregister a
+segment: every start method shares the parent's resource tracker (spawn
+hands the child its fd), so a child's unregister would drop the
+parent's registration and a SIGKILLed parent would leak the segment for
+good.  A forked worker closes its inherited copy of the parent's pipe
+end, so a SIGKILLed parent reaches a worker waiting for its next command
+as EOF.
 """
 
 from __future__ import annotations
@@ -131,17 +135,28 @@ def _init_worker(shm_specs: list[dict] | None = None) -> None:
 # --------------------------------------------------------------------- #
 # the worker process
 # --------------------------------------------------------------------- #
-def _bootstrap(conn, target, args, source: str, datasets) -> None:
-    """Child entry point: live attachments, :func:`_init_worker`, target."""
+def _bootstrap(conn, parent_end, target, args, source: str | None,
+               datasets) -> None:
+    """Child entry point: live attachments (none without a ``source``),
+    :func:`_init_worker`, target.
+
+    A forked child inherits the parent's end of its pipe (``parent_end``)
+    and closes it first: while it holds that end, the parent's death
+    never reaches its receive as EOF, and a worker waiting for its next
+    command would outlive a SIGKILLed parent.
+    """
+    if parent_end is not None:
+        parent_end.close()
     tel = Telemetry(echo=False)
-    live = attach_worker_live(tel, source)
+    live = attach_worker_live(tel, source) if source is not None else None
     try:
         _init_worker(datasets)
         reply = target(conn, tel, *args)
     except (EOFError, KeyboardInterrupt):  # parent gone / interrupted
         return
     finally:
-        live.close()
+        if live is not None:
+            live.close()
     try:
         conn.send(reply)
     except Exception:  # parent already gone, or an unpicklable reply
@@ -152,14 +167,16 @@ class Worker:
     """One worker process, running ``target(conn, telemetry, *args)``
     after the bootstrap, and the parent's end of its duplex pipe."""
 
-    def __init__(self, ctx, target: Callable, args: tuple, source: str,
+    def __init__(self, ctx, target: Callable, args: tuple, source: str | None,
                  datasets, name: str | None = None):
         #: set once a stop was requested: :func:`watch` ignores the exit.
         self.stopping = False
         self.closed = False
         self.conn, child = ctx.Pipe()
+        inherited = self.conn if ctx.get_start_method() == "fork" else None
         self.proc = ctx.Process(
-            target=_bootstrap, args=(child, target, args, source, datasets),
+            target=_bootstrap,
+            args=(child, inherited, target, args, source, datasets),
             name=name, daemon=True,
         )
         try:
@@ -304,10 +321,12 @@ class WorkerGroup:
         self._segments.append(shm)
         return shm
 
-    def start(self, target: Callable, *args: Any, source: str,
+    def start(self, target: Callable, *args: Any, source: str | None,
               name: str | None = None) -> Worker:
         """Start a worker running ``target(conn, telemetry, *args)``;
-        ``source`` names it in live telemetry and flight dumps."""
+        ``source`` names it in live telemetry and flight dumps, and None
+        leaves the live attachments to the target (sweep workers attach
+        one per cell)."""
         self.workers = [w for w in self.workers if not w.closed]
         worker = Worker(self.ctx, target, args, source, self._datasets, name)
         self.workers.append(worker)

@@ -1,8 +1,11 @@
 """Runner tests: serial/parallel parity, failure isolation, env parsing."""
 
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
+from repro.nn.tensor import step_arena
 from repro.runner import (
     CellResult,
     ExperimentCell,
@@ -77,19 +80,30 @@ class TestRunExperiments:
     def test_serial_vs_pool_identical(self):
         cells = [
             ExperimentCell("a", _tiny(seed=11)),
-            ExperimentCell("b", _tiny(seed=12)),
+            ExperimentCell("b", _tiny(seed=12, model="resnet12")),
+            ExperimentCell("c", _tiny(seed=13)),
         ]
         serial = run_experiments(cells, workers=1)
-        pooled = run_experiments(cells, workers=2)
-        assert [r.key for r in serial] == ["a", "b"]  # submission order
-        assert [r.key for r in pooled] == ["a", "b"]
-        for s, p in zip(serial, pooled):
+        # Each cell leaves the step arena empty, so the process does not
+        # keep vgg11's buffers beside resnet12's.
+        assert step_arena()._buffers == {}
+        # Reversed on two persistent workers: some cells run on a worker
+        # that already ran another model, and every result still matches.
+        pooled = run_experiments(cells[::-1], workers=2)
+        assert mp.active_children() == []
+        assert len({r.worker_pid for r in pooled}) <= 2
+        assert [r.key for r in serial] == ["a", "b", "c"]  # submission order
+        assert [r.key for r in pooled] == ["c", "b", "a"]
+        pooled_by_key = results_by_key(pooled)
+        for s in serial:
+            p = pooled_by_key[s.key]
             assert s.ok and p.ok
             assert s.final_accuracy == p.final_accuracy
             assert (
                 s.result.train_result.accuracy_curve()
                 == p.result.train_result.accuracy_curve()
             )
+            assert s.telemetry["counters"] == p.telemetry["counters"]
 
     def test_failure_isolation(self):
         cells = [
@@ -108,6 +122,15 @@ class TestRunExperiments:
         cells = [ExperimentCell(i, _tiny(seed=20 + i)) for i in range(2)]
         run_experiments(cells, workers=1, on_result=seen.append)
         assert sorted(r.key for r in seen) == [0, 1]
+
+        # A callback that raises ends a pooled sweep with no child left,
+        # the idle worker and the busy one alike.
+        def boom(res):
+            raise KeyError(res.key)
+
+        with pytest.raises(KeyError):
+            run_experiments(cells, workers=2, on_result=boom)
+        assert mp.active_children() == []
 
     def test_tags_carried_through(self):
         cell = ExperimentCell("t", _tiny(), tags={"row": "vgg11"})

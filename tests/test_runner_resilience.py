@@ -8,6 +8,11 @@ the worker.  The dispatcher must notice all three, retry the bounded
 ones and never hang or abort the sweep.
 """
 
+import multiprocessing as mp
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -33,6 +38,7 @@ from repro.utils.config import (
     FaultConfig,
     TrainConfig,
 )
+from repro.workers import WorkerGroup
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_seconds=0.05)
 
@@ -109,10 +115,23 @@ class TestEnvKnobs:
             default_retries()
 
 
+def _event(tel: Telemetry, kind: str) -> dict:
+    (payload,) = [e["payload"] for e in tel.events if e["kind"] == kind]
+    return payload
+
+
 class TestWorkerCrash:
     """A worker killed with SIGKILL mid-cell neither hangs nor aborts."""
 
     def test_sigkill_is_retried_and_recovers(self, monkeypatch):
+        starts: list[int] = []
+        real_start = WorkerGroup.start
+
+        def counting_start(group, *args, **kwargs):
+            starts.append(1)
+            return real_start(group, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerGroup, "start", counting_start)
         monkeypatch.setenv(CHAOS_ENV, "crash:victim:1")
         tel = Telemetry(echo=False)
         results = run_experiments(_cells(), workers=2, telemetry=tel,
@@ -125,13 +144,54 @@ class TestWorkerCrash:
         assert tel.counters["runner.cell_retries"] == 1
         retried = [e for e in tel.events if e["kind"] == "cell_retried"]
         assert retried and retried[0]["payload"]["reason"] == "crashed"
+        # Only the killed worker is replaced (or its cell goes to the
+        # bystander's worker once that is idle), and none is left.
+        assert len(starts) <= 3
+        assert _event(tel, "cell_crashed")["pid"] not in {
+            r.worker_pid for r in results}
+        assert mp.active_children() == []
+
+        # A worker that dies while idle is dropped, and the next cell
+        # runs as a first attempt elsewhere, not as a crash.
+        monkeypatch.delenv(CHAOS_ENV)
+        killed: list[int] = []
+
+        def kill_idle_worker(res):
+            if not killed:
+                killed.append(res.worker_pid)
+                os.kill(res.worker_pid, signal.SIGKILL)
+                deadline = time.monotonic() + 10.0
+                while any(p.pid == res.worker_pid
+                          for p in mp.active_children()):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+
+        tel = Telemetry(echo=False)
+        cells = _cells() + [ExperimentCell("third", _tiny(seed=13))]
+        results = run_experiments(cells, workers=2, telemetry=tel,
+                                  on_result=kill_idle_worker)
+        assert all(r.ok and r.attempts == 1 for r in results)
+        assert "runner.cell_crashes" not in tel.counters
+        assert {"victim", "bystander"} & {
+            r.key for r in results if r.worker_pid == killed[0]}
+        assert results[2].worker_pid != killed[0]
+        assert mp.active_children() == []
 
     def test_retried_result_is_bit_identical(self, monkeypatch):
         monkeypatch.delenv(CHAOS_ENV, raising=False)
-        clean = run_experiments(_cells(), workers=2)
+        # Two filler cells first: victim and bystander then run on warm
+        # workers, each of which already trained a model.
+        fillers = [ExperimentCell(f"filler{i}", _tiny(seed=13 + i))
+                   for i in range(2)]
+        warm = run_experiments(fillers + _cells(), workers=2)
+        assert {r.worker_pid for r in warm[2:]} <= {
+            r.worker_pid for r in warm[:2]}
         monkeypatch.setenv(CHAOS_ENV, "crash:victim:1")
+        # Here the bystander runs on a fresh worker, and the victim's
+        # retry on a fresh one or on the bystander's.
         chaotic = run_experiments(_cells(), workers=2, retry=FAST_RETRY)
-        for c, x in zip(clean, chaotic):
+        for c, x in zip(warm[2:], chaotic):
+            assert c.key == x.key
             assert c.final_accuracy == x.final_accuracy
             assert (
                 c.result.train_result.accuracy_curve()
@@ -173,6 +233,9 @@ class TestWorkerTimeout:
         assert tel.counters["runner.cell_timeouts"] == 1
         kinds = [e["kind"] for e in tel.events]
         assert "cell_timeout" in kinds and "cell_retried" in kinds
+        # The hung worker was killed; the retry ran on another.
+        assert _event(tel, "cell_timeout")["pid"] != by_key["victim"].worker_pid
+        assert mp.active_children() == []
 
     def test_persistent_hang_exhausts_retries(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, "hang:victim:99")

@@ -7,9 +7,9 @@ reply, while a reply is due, after the stop was sent, hung past the
 receive deadline, and raising.  Every case must end promptly, either in
 ``WorkerDied`` or with ``stop`` returning no reply, and leave no child
 process and no shared-memory segment behind.  Below it, the same
-guarantees on the three users: a SIGKILLed spawn sweep, a replica, a
-two-replica server or a data-parallel start that fails partway, and a
-rank killed mid-epoch.
+guarantees on the three users: a sweep whose parent is SIGKILLed, a
+replica, a two-replica server or a data-parallel start that fails
+partway, and a rank killed mid-epoch.
 
 One test runs every case in turn and checks after each that no child and
 no new segment remain; a failure names its case.
@@ -205,7 +205,7 @@ def _wait_and_watch_see_only_the_death(method):
 # the users: a killed sweep, failed starts, a killed rank
 # --------------------------------------------------------------------- #
 _SWEEP = textwrap.dedent("""
-    import json, os, signal
+    import json, multiprocessing as mp, os, signal, sys
     from repro.runner import ExperimentCell, run_experiments
     from repro.utils.config import (
         ChipConfig, CrossbarConfig, ExperimentConfig, FaultConfig, TrainConfig)
@@ -223,40 +223,59 @@ _SWEEP = textwrap.dedent("""
     before = segments()
 
     def die(_result):
-        print(json.dumps(sorted(segments() - before)), flush=True)
+        print(json.dumps([sorted(segments() - before),
+                          [p.pid for p in mp.active_children()]]), flush=True)
         os.kill(os.getpid(), signal.SIGKILL)
 
     run_experiments([ExperimentCell("a", config(41)),
                      ExperimentCell("b", config(42))],
-                    workers=2, start_method="spawn", on_result=die)
+                    workers=2, start_method=sys.argv[1], on_result=die)
 """)
 
 
-def _killed_spawn_sweep_leaves_no_segments():
-    """SIGKILL a spawn sweep's parent once a cell has come back, so both
-    workers have attached the dataset exports: the shared resource
-    tracker must still unlink every segment once the workers exit."""
+def _running(pid: int) -> bool:
+    """Whether ``pid`` runs (an orphan's zombie may wait for its reaper)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _killed_sweep_leaves_nothing_behind(method):
+    """SIGKILL a sweep's parent once a cell has come back, so at least
+    one worker waits for its next command and, under spawn, both have
+    attached the dataset exports.  Both workers must exit, and the
+    shared resource tracker must still unlink every segment."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
         + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     ))
-    proc = subprocess.Popen([sys.executable, "-c", _SWEEP], env=env,
+    proc = subprocess.Popen([sys.executable, "-c", _SWEEP, method], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                             text=True)
     names: list[str] = []
+    pids: list[int] = []
     try:
-        names = json.loads(proc.stdout.readline() or "[]")
+        names, pids = json.loads(proc.stdout.readline() or "[[], []]")
         assert proc.wait(timeout=120) == -signal.SIGKILL
-        assert len(names) == 8, names  # 2 datasets x 4 arrays
+        # 2 datasets x 4 arrays under spawn; forked workers inherit them.
+        assert len(names) == (8 if method == "spawn" else 0), names
+        assert len(pids) == 2, pids
         deadline = time.monotonic() + 60.0
-        while set(names) & _segments() and time.monotonic() < deadline:
+        while ((set(names) & _segments() or any(map(_running, pids)))
+               and time.monotonic() < deadline):
             time.sleep(0.2)
         assert not set(names) & _segments()
+        assert not any(map(_running, pids)), pids
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
         proc.stdout.close()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
         for name in names:
             try:
                 os.unlink(os.path.join(SHM_DIR, name))
@@ -313,11 +332,17 @@ def _second_replica_dies_before_ready(method):
 
 
 def _replica_lost_before_registration(method):
-    """Replica 1 dies after its "ready", before the server registers it."""
+    """Replica 1 dies after its "ready", before the server registers it.
+
+    Both replicas are up by then: a spawn server maps one dataset export
+    (4 arrays) for both, plus a transport segment each."""
     real = ProcessReplica.health
+    before = _segments()
+    mapped: list[int] = []
 
     def health(replica):
         if replica.replica_id == 1:
+            mapped.append(len(_segments() - before))
             replica.kill()
         return real(replica)
 
@@ -325,6 +350,7 @@ def _replica_lost_before_registration(method):
         patch.setattr(ProcessReplica, "health", health)
         with pytest.raises(ReplicaDied, match="replica 1"):
             _two_replica_server(method)
+    assert mapped == [4 + 2 if method == "spawn" else 2]
 
 
 def _dp_export_failure_releases_the_exchange_segment():
@@ -398,6 +424,7 @@ def _cases():
         ("hang past the receive deadline", _hang_past_the_receive_deadline),
         ("raise in the child", _raise_in_the_child),
         ("wait and watch see only the death", _wait_and_watch_see_only_the_death),
+        ("killed sweep", _killed_sweep_leaves_nothing_behind),
         ("replica build failure", _replica_build_failure_releases_everything),
         ("second replica start raises", _second_replica_start_raises),
         ("second replica dies before ready", _second_replica_dies_before_ready),
@@ -405,7 +432,6 @@ def _cases():
     ]
     cases = [(f"{method}: {label}", partial(case, method))
              for method in START_METHODS for label, case in matrix]
-    cases.append(("killed spawn sweep", _killed_spawn_sweep_leaves_no_segments))
     cases.append(("dp spawn export failure",
                   _dp_export_failure_releases_the_exchange_segment))
     if HAVE_FORK:
