@@ -1,7 +1,7 @@
 """Hot-path microbenchmarks for the fault-aware training loop.
 
 Times the sparse fused-clamp ``effective_matrix`` fast path against the
-retained dense reference implementation (the pre-optimisation
+dense oracle in ``tests/mapping_oracle.py`` (the pre-optimisation
 formulation), the recomputation-elimination eval path (version-keyed
 effective-weight cache + autograd-free inference), one fault-aware
 training epoch, and a runner fan-out, and writes the numbers to
@@ -27,7 +27,9 @@ Acceptance gates (asserted by ``test_hotpath``):
 
 from __future__ import annotations
 
+import pathlib
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -44,6 +46,11 @@ from repro.utils.config import ChipConfig, CrossbarConfig
 from _common import SCALE, experiment, save_results
 from repro.utils.config import FaultConfig
 from repro.utils.tabulate import render_table
+
+# The dense clamp oracle lives with the tests; the repo root makes it
+# importable when this file runs as a script.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.mapping_oracle import reference_effective_matrix  # noqa: E402
 
 MATRIX_SHAPE = (256, 512)
 BLOCK = 32
@@ -85,15 +92,11 @@ def bench_effective_matrix(density: float) -> dict:
     # Warm up: calibrates scales and populates the index/overlay caches so
     # the timed region measures the steady-state per-step cost.
     mapping.effective_matrix(w, chip.pair, chip.fault_version)
-    mapping.reference_effective_matrix(w, chip.pair, chip.fault_version)
+    reference_effective_matrix(mapping, w, chip.pair)
     fast = _median_seconds(
         lambda: mapping.effective_matrix(w, chip.pair, chip.fault_version)
     )
-    ref = _median_seconds(
-        lambda: mapping.reference_effective_matrix(
-            w, chip.pair, chip.fault_version
-        )
-    )
+    ref = _median_seconds(lambda: reference_effective_matrix(mapping, w, chip.pair))
     return {
         "density": density,
         "fast_us": fast * 1e6,
@@ -186,9 +189,9 @@ def bench_telemetry_overhead() -> dict:
 
     The telemetry refactor must be overhead-neutral on the per-MVM fast
     path: the engine keeps its counters as plain ints and only the cache
-    *miss* path consults the sink (behind the disabled-by-default
-    ``detail`` flag), so a cache-hit ``step_weights`` read executes the
-    identical instruction stream either way.  Samples interleave the two
+    *miss* path consults the sink (for ``profile`` spans), so a cache-hit
+    ``step_weights`` read executes the identical instruction stream
+    either way.  Samples interleave the two
     configurations to cancel thermal/frequency drift; the CI gate asserts
     < 3% regression.
 

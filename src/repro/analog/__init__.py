@@ -3,10 +3,10 @@
 The stuck-at fault model of :mod:`repro.faults` covers *hard* defects;
 this package adds the *analog* realism layers a deployed ReRAM accelerator
 cannot escape — DAC/ADC quantization, finite-state conductance mapping,
-wire IR drop and transient soft errors with online scrubbing — as
-composable, versioned transforms the
-:class:`~repro.nn.fault_aware.CrossbarEngine` applies to effective
-weights (see :mod:`repro.analog.stack` for the layer order and cache
+wire IR drop, transient soft errors with online scrubbing, programming
+error, read noise and retention drift — as composable, versioned
+transforms the :class:`~repro.nn.fault_aware.CrossbarEngine` applies to
+effective weights (see :mod:`repro.analog.stack` for the layer order and cache
 contract).
 """
 
@@ -32,6 +32,7 @@ from repro.analog.stack import (
     AnalogStack,
     make_analog_config,
 )
+from repro.analog.variation import VariationModel
 
 __all__ = [
     "ANALOG_PRESETS",
@@ -42,6 +43,7 @@ __all__ = [
     "QuantizationConfig",
     "SoftErrorConfig",
     "SoftErrorState",
+    "VariationModel",
     "attenuation_block",
     "attenuation_map",
     "clipped_fraction",

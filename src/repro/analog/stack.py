@@ -3,19 +3,24 @@
 :class:`AnalogConfig` selects which non-ideality layers a run models;
 :class:`AnalogStack` is the runtime the
 :class:`~repro.nn.fault_aware.CrossbarEngine` applies to every effective
-weight matrix on its cache-miss path.  Layer order follows the physical
-signal path of one programmed-and-read weight::
+weight matrix it computes.  The stack is the one place that knows which
+non-idealities apply, in what order, and whether their result can be
+cached.  The layers run in this order::
 
-    DAC grid -> device conductance states -> IR drop -> soft errors -> ADC grid
+    retention drift -> DAC grid -> device conductance states -> IR drop
+      -> soft errors -> ADC grid -> programming error -> read noise
 
-All layers are deterministic functions of ``(weights, epoch state)``:
-quantization, conductance snapping and IR drop depend only on the values
-and the frozen per-(layer, path) clip calibration, while the soft-error
-flip set only changes at epoch boundaries (:meth:`AnalogStack.advance_epoch`).
-The stack therefore composes with the engine's version-keyed cache — its
-:meth:`AnalogStack.version_key` (layer-config hash + soft-error epoch
-version) extends the cache key instead of bypassing the cache, unlike the
-per-read stochastic :class:`~repro.faults.variation.VariationModel`.
+Every layer up to the ADC grid is a deterministic function of
+``(weights, epoch state)``: drift depends on the epochs since programming,
+quantization, conductance snapping and IR drop only on the values and the
+frozen per-(layer, path) clip calibration, and the soft-error flip set only
+changes at epoch boundaries (:meth:`AnalogStack.advance_epoch`).  These
+compose with the engine's version-keyed cache: :meth:`AnalogStack.version_key`
+(layer-config hash, soft-error epoch version, drift epochs) extends the cache
+key.  Programming error and read noise, the per-read terms of the
+``variation`` layer, are redrawn on every read; while either is configured
+:attr:`AnalogStack.stochastic` is True, the engine bypasses its cache and
+data-parallel training runs on one rank.
 
 ``apply`` never mutates its input: the engine's fault-free path hands the
 layer's *live weight array* straight through, and cached entries alias
@@ -37,6 +42,7 @@ from repro.analog.quantization import (
     quantize_uniform,
 )
 from repro.analog.soft_error import SoftErrorConfig, SoftErrorState
+from repro.analog.variation import VariationModel
 from repro.bist.scrub import scrub_pass_cycles
 from repro.utils.config import ChipConfig
 
@@ -56,6 +62,8 @@ class AnalogConfig:
     conductance: ConductanceConfig | None = None
     ir_drop: IRDropConfig | None = None
     soft_error: SoftErrorConfig | None = None
+    #: programming error, read noise and retention drift.
+    variation: VariationModel | None = None
 
     @property
     def active(self) -> bool:
@@ -64,6 +72,7 @@ class AnalogConfig:
             or self.conductance is not None
             or (self.ir_drop is not None and self.ir_drop.active)
             or self.soft_error is not None
+            or (self.variation is not None and self.variation.active)
         )
 
     def config_key(self) -> int:
@@ -85,6 +94,8 @@ class AnalogConfig:
             s = self.soft_error
             scrub = "+scrub" if s.scrub else " (no scrub)"
             parts.append(f"soft errors {s.rate_per_mcell:g}/Mcell{scrub}")
+        if self.variation is not None and self.variation.active:
+            parts.append(self.variation.describe())
         return ", ".join(parts) if parts else "no analog layers"
 
 
@@ -131,6 +142,10 @@ class AnalogStack:
     telemetry:
         Optional run sink for ``analog.*`` counters, the ADC-clip
         histogram and ``scrub_pass`` events.
+    noise_rng:
+        RNG stream for programming-error and read-noise draws (required
+        iff either sigma of ``variation`` is set), e.g.
+        ``hub.stream("variation")``.
     """
 
     def __init__(
@@ -139,9 +154,24 @@ class AnalogStack:
         rng: np.random.Generator | None = None,
         chip_config: ChipConfig | None = None,
         telemetry=None,
+        noise_rng: np.random.Generator | None = None,
     ):
         if config.soft_error is not None and rng is None:
             raise ValueError("soft_error layer requires an rng stream")
+        variation = config.variation
+        #: True while a layer redraws on every read (programming error,
+        #: read noise): the engine then bypasses its effective-weight
+        #: cache, and data-parallel training runs on one rank.
+        self.stochastic = variation is not None and variation.stochastic
+        if self.stochastic and noise_rng is None:
+            raise ValueError(
+                "programming error and read noise require a noise_rng stream"
+            )
+        self._noise_rng = noise_rng
+        #: epoch boundaries since programming; drives retention drift and
+        #: is part of :meth:`version_key`.  Advances only when the
+        #: ``variation`` layer drifts, so other stacks keep their keys.
+        self.drift_age = 0
         self.config = config
         self.telemetry = telemetry
         self._chip_config = chip_config if chip_config is not None else ChipConfig()
@@ -165,9 +195,14 @@ class AnalogStack:
     def active(self) -> bool:
         return self.config.active
 
-    def version_key(self) -> tuple[int, int]:
-        """Cache-key part: (layer-config hash, soft-error epoch version)."""
-        return (self._config_key, self.soft.version if self.soft is not None else 0)
+    def version_key(self) -> tuple[int, int, int]:
+        """Cache-key part: (layer-config hash, soft-error epoch version,
+        drift epochs)."""
+        return (
+            self._config_key,
+            self.soft.version if self.soft is not None else 0,
+            self.drift_age,
+        )
 
     # ------------------------------------------------------------------ #
     # the per-recompute transform (engine cache-miss path)
@@ -175,18 +210,22 @@ class AnalogStack:
     def apply(self, key: str, path: str, eff: np.ndarray) -> np.ndarray:
         """Run one effective weight matrix through the configured layers.
 
-        Never mutates ``eff``; returns a fresh array whenever any layer
-        is active (the engine caches the result, keyed on
-        :meth:`version_key`, so this only runs on cache misses).
+        Never mutates ``eff``; returns a fresh array whenever a layer
+        changes it.  Unless :attr:`stochastic`, the engine caches the
+        result, keyed on :meth:`version_key`, so this only runs on cache
+        misses; otherwise it runs on every read.
         """
         cfg = self.config
+        out = eff
+        owned = False
+        if self.drift_age > 0:
+            out = cfg.variation.apply_drift(out, self.drift_age)
+            owned = True
         site = (key, path)
         clip = self._clips.get(site)
         if clip is None:
-            clip = self._calibrate(site, eff)
+            clip = self._calibrate(site, out)
         tel = self.telemetry
-        out = eff
-        owned = False
         q = cfg.quantization
         if q is not None:
             if tel is not None and tel.enabled:
@@ -216,6 +255,12 @@ class AnalogStack:
                 np.put(out, idx, sign * clip)
         if q is not None:
             out = quantize_uniform(out, q.adc_bits, clip)
+        if self.stochastic:
+            # The read noise scales with max|w| before the programming
+            # error lands.
+            v, rng = cfg.variation, self._noise_rng
+            scale = float(np.abs(out).max()) or 1.0
+            out = v.apply_read_noise(v.apply_program_error(out, rng), scale, rng)
         if tel is not None and tel.enabled:
             tel.count("analog.applies")
         return out
@@ -256,9 +301,13 @@ class AnalogStack:
     # epoch lifecycle (controller / data-parallel replicas)
     # ------------------------------------------------------------------ #
     def advance_epoch(self, epoch: int) -> None:
-        """Epoch boundary: scrub pass (when enabled) + new soft-error
-        arrivals.  Deterministic given the RNG stream, so data-parallel
-        worker replicas replaying the transition stay bit-identical."""
+        """Epoch boundary: retention drift ages one epoch, then a scrub
+        pass (when enabled) + new soft-error arrivals.  Deterministic
+        given the RNG stream, so data-parallel worker replicas replaying
+        the transition stay bit-identical."""
+        variation = self.config.variation
+        if variation is not None and variation.drift_per_epoch > 0:
+            self.drift_age += 1
         if self.soft is None:
             return
         repaired, injected = self.soft.advance_epoch()

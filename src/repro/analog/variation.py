@@ -1,4 +1,4 @@
-"""Analog non-idealities beyond hard stuck-at faults.
+"""Programming error, read noise and retention drift: the variation layer.
 
 PytorX (the paper's training simulator) models, besides SAFs, the *soft*
 ReRAM non-idealities: programming inaccuracy (the write circuitry lands
@@ -9,10 +9,12 @@ every crossbar equally) but a production simulator must expose them — and
 the paper's "near-ideal accuracy" claims implicitly include their
 presence.
 
-:class:`VariationModel` is a pure-function bundle applied by the
-:class:`~repro.nn.fault_aware.CrossbarEngine` to the effective weight
-matrices when enabled.  All draws come from the caller's RNG stream, so
-runs stay reproducible.
+:class:`VariationModel` is the ``variation`` layer config of
+:class:`~repro.analog.AnalogConfig`: a pure-function bundle the
+:class:`~repro.analog.AnalogStack` applies to every effective weight
+(drift first, programming error and read noise last; see
+:mod:`repro.analog.stack`).  All draws come from the caller's RNG
+stream, so runs stay reproducible.
 """
 
 from __future__ import annotations
@@ -79,9 +81,8 @@ class VariationModel:
         Programming error and read noise are redrawn on every weight
         read, so the engine must bypass its effective-weight cache while
         they are active.  Drift is excluded deliberately: it is a pure
-        function of the epoch count, which the engine carries in its
-        cache key (``drift_epochs``) — a drift-only model stays fully
-        cached.
+        function of the epoch count, which the stack carries in its
+        version key — a drift-only model stays fully cached.
         """
         return self.program_sigma > 0 or self.read_sigma > 0
 

@@ -215,20 +215,20 @@ def build_experiment(
         )
     else:
         trainer = Trainer(model, dataset, tc, hub.stream("train"), telemetry=tel)
-    if config.variation is not None:
-        engine.set_variation(config.variation, hub.stream("variation"))
-    if config.analog is not None and config.analog.active:
-        # The soft-error stream is derived only when that layer is on, so
-        # configs without it consume no extra randomness (and analog-off
-        # runs stay bit-identical to the pre-analog code path).  A scrub
-        # pass is priced on the built member with the most crossbars per
-        # IMA: members scan in parallel, as the IMAs of one chip do.
+    analog = config.analog
+    if analog is not None and analog.active:
+        # The soft-error and variation streams are derived only when their
+        # layer is configured, so configs without them consume no extra
+        # randomness (and analog-off runs stay bit-identical to the
+        # pre-analog code path).  A scrub pass is priced on the built
+        # member with the most crossbars per IMA: members scan in
+        # parallel, as the IMAs of one chip do.
         engine.set_analog(
             AnalogStack(
-                config.analog,
+                analog,
                 rng=(
                     hub.stream("soft-error")
-                    if config.analog.soft_error is not None
+                    if analog.soft_error is not None
                     else None
                 ),
                 chip_config=max(
@@ -236,6 +236,11 @@ def build_experiment(
                     key=lambda c: c.crossbars_per_ima,
                 ),
                 telemetry=tel,
+                noise_rng=(
+                    hub.stream("variation")
+                    if analog.variation is not None
+                    else None
+                ),
             )
         )
     engine.telemetry = tel
@@ -311,13 +316,10 @@ def apply_epoch_end(
     ):
         inject_fault_wave(ctx, epoch)
     # Analog epoch boundary, *before* the BIST scan and the policy react:
-    # retention drift advances one epoch (visible to the weight cache
-    # through its ``drift_epochs`` key part — the dead-path fix for
-    # ``VariationModel.apply_drift``), and the soft-error layer runs its
+    # retention drift ages one epoch and the soft-error layer runs its
     # scrub pass + draws the next epoch's Poisson arrivals.  Both are
     # deterministic, so data-parallel replicas replaying this transition
     # stay bit-identical.
-    ctx.engine.advance_drift()
     if ctx.engine.analog is not None:
         ctx.engine.analog.advance_epoch(epoch)
     if policy.uses_bist:

@@ -16,7 +16,6 @@ from repro.faults.distribution import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.endurance import WearTracker, EnduranceModel
-from repro.faults.variation import VariationModel
 
 __all__ = [
     "FaultType",
@@ -27,5 +26,4 @@ __all__ = [
     "FaultInjector",
     "WearTracker",
     "EnduranceModel",
-    "VariationModel",
 ]

@@ -28,36 +28,31 @@ holding both copies' effective matrices, keyed on the triple of
 monotonic versions
 
 * ``Parameter.version`` — bumped by every in-place weight write
-  (``SGD.step``, the engine's in-situ range clip);
+  (``SGD.step``);
 * ``Chip.fault_version`` — bumped on every fault injection / remap;
 * ``CrossbarEngine.override_version`` — bumped by ``set_override`` /
   ``clear_overrides``.
 
-plus two *state* parts that version the deterministic analog layers:
-
-* ``drift_epochs`` — epoch boundaries since the last full reprogram
-  (:meth:`CrossbarEngine.advance_drift` / ``refresh_programming``);
-  retention drift is a pure function of this count;
-* the :class:`~repro.analog.AnalogStack` version key (layer-config hash +
-  soft-error epoch version) when an analog stack is attached.
+plus, when an analog stack is attached (:meth:`CrossbarEngine.set_analog`,
+the engine's one non-ideality hook), the stack's version key
+(layer-config hash, soft-error epoch version, drift epochs).
 
 During training every step changes the weights, so each step clamps
 both copies once; during evaluation and BIST/remap passes nothing
 changes between batches, so the clamp runs **once per fault state**
 instead of once per batch.  Inference reads only the forward copy, and
 a training step that follows at the same key computes just the missing
-backward copy.  Only the *stochastic* variation mode (programming error
-/ read noise, redrawn per read) bypasses the cache; drift and the analog
-stack are deterministic per key, so they stay cached.  Returned arrays
-are owned by the engine: valid until the layer's next recompute, and
-must not be mutated by callers.
+backward copy.  Only a *stochastic* stack (programming error / read
+noise, redrawn per read; :attr:`repro.analog.AnalogStack.stochastic`)
+bypasses the cache; a stack without them is deterministic per key, so
+it stays cached.  Returned arrays are owned by the engine: valid until
+the layer's next recompute, and must not be mutated by callers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.faults.variation import VariationModel
 from repro.nn.layers import Conv2d, Linear, Module
 from repro.reram.chip import Chip
 from repro.reram.mapping import LayerCopyMapping
@@ -80,18 +75,10 @@ class CrossbarEngine:
         self._overrides: dict[str, tuple[np.ndarray | None, np.ndarray | None]] = {}
         #: if False, the engine passes weights through unclamped (ideal HW).
         self.faults_enabled = True
-        #: optional analog non-ideality model (programming error + read
-        #: noise); None disables it.  Set together with variation_rng.
-        self.variation: VariationModel | None = None
-        self.variation_rng: np.random.Generator | None = None
         #: optional composable analog non-ideality stack (repro.analog):
-        #: DAC/ADC quantization, conductance mapping, IR drop, soft
-        #: errors.  Deterministic per cache key — see :meth:`set_analog`.
+        #: drift, DAC/ADC quantization, conductance mapping, IR drop, soft
+        #: errors, programming error, read noise — see :meth:`set_analog`.
         self.analog = None
-        #: epoch boundaries since the last full reprogram; drives the
-        #: retention-drift term of :attr:`variation` and is part of every
-        #: cache key (so drifted weights never alias fresh ones).
-        self.drift_epochs = 0
         #: bumped by set_override / clear_overrides; part of the cache key.
         self.override_version = 0
         #: layer key -> weight Parameter (for the params_version key part).
@@ -113,8 +100,7 @@ class CrossbarEngine:
         self.cache_misses = 0
         self.recomputes = 0
         #: optional run telemetry.  Only the (already expensive) cache
-        #: miss path consults it, and only when ``telemetry.detail`` is
-        #: set — per-MVM instrumentation is disabled by default.
+        #: miss path consults it, and only for ``profile`` spans.
         self.telemetry = None
 
     # ------------------------------------------------------------------ #
@@ -167,7 +153,8 @@ class CrossbarEngine:
         """
         if not self.faults_enabled:
             return w2d, (w2d if need_backward else None)
-        if self._stochastic:
+        analog = self.analog
+        if analog is not None and analog.stochastic:
             # Programming error / read noise is redrawn per read — the
             # effective weight is not a pure function of the versions,
             # so the cache is bypassed entirely.
@@ -192,20 +179,13 @@ class CrossbarEngine:
                 self.cache_hits += 1
         return w_fwd, w_bwd
 
-    @property
-    def _stochastic(self) -> bool:
-        """True while a per-read random term (programming error / read
-        noise) is active — the only state that forces a cache bypass."""
-        v = self.variation
-        return v is not None and v.stochastic
-
     def _version_key(self, key: str, w2d: np.ndarray) -> tuple:
         """The full cache key: monotonic versions + analog layer state.
 
         Every piece of state that can change an effective weight is
-        visible here; anything *not* representable as a key part (the
-        stochastic variation mode) bypasses the cache instead.  The
-        audit test (tests/test_analog.py) locks this invariant down.
+        visible here; anything *not* representable as a key part (a
+        stochastic analog stack) bypasses the cache instead.  The audit
+        test (tests/test_analog.py) locks this invariant down.
         """
         weight = self._weights.get(key)
         analog = self.analog
@@ -215,25 +195,25 @@ class CrossbarEngine:
             self.override_version,
             w2d.dtype.str,
             self._home_chip.get(key, 0),
-            self.drift_epochs,
             analog.version_key() if analog is not None else None,
         )
 
     def _noisy_weight(self, key: str, w2d: np.ndarray, path: str) -> np.ndarray:
         """One copy's effective weight with fresh per-read noise (uncached)."""
         eff, _ = self._compute_weight(key, w2d, path)
-        eff = self._apply_deterministic(key, eff, path)
-        return self._apply_variation(eff)
+        return self.analog.apply(key, path, eff)
 
     def _recompute(self, key: str, w2d: np.ndarray, path: str) -> np.ndarray:
         """A cache miss: one copy's effective weight, engine-owned."""
         self.cache_misses += 1
         eff, shared = self._compute_weight(key, w2d, path)
-        det = self._apply_deterministic(key, eff, path)
-        if det is not eff:
-            # Drift / analog layers allocated a fresh array the engine
-            # owns outright — no buffer copy needed.
-            eff, shared = det, False
+        analog = self.analog
+        if analog is not None and analog.active:
+            out = analog.apply(key, path, eff)
+            if out is not eff:
+                # The analog layers allocated a fresh array the engine
+                # owns outright — no buffer copy needed.
+                eff, shared = out, False
         if shared:
             # The mapping's buffer is overwritten by its next clamp; keep
             # an engine-owned copy so the cache survives foreign calls.
@@ -253,22 +233,19 @@ class CrossbarEngine:
 
         ``shared_buffer`` is True when the result aliases the mapping's
         reusable clamp buffer (and must be copied before long-term use).
-        This is the cache-*miss* path only, so the opt-in instrumentation
-        here (``detail`` events, ``profile`` spans) never taxes the
-        per-batch hit path.
+        This is the cache-*miss* path only, so the opt-in ``profile``
+        span here never taxes the per-batch hit path.
         """
         tel = self.telemetry
         if tel is not None and tel.enabled and tel.profile:
             with tel.span("mvm_recompute", key=key, path=path):
-                return self._compute_weight_impl(key, w2d, path, tel)
-        return self._compute_weight_impl(key, w2d, path, tel)
+                return self._compute_weight_impl(key, w2d, path)
+        return self._compute_weight_impl(key, w2d, path)
 
     def _compute_weight_impl(
-        self, key: str, w2d: np.ndarray, path: str, tel
+        self, key: str, w2d: np.ndarray, path: str
     ) -> tuple[np.ndarray, bool]:
         self.recomputes += 1
-        if tel is not None and tel.detail:
-            tel.event("weight_recompute", key=key, path=path)
         fwd, bwd = self.copies[key]
         if path == "fwd":
             mapping, stored = fwd, w2d.T
@@ -309,106 +286,17 @@ class CrossbarEngine:
             eff = np.where(override, grad2d, eff)
         return eff
 
-    def set_variation(
-        self, model: VariationModel | None, rng: np.random.Generator | None
-    ) -> None:
-        """Enable (or clear) the variation model for all weight reads.
-
-        Drops every cached effective weight: entries computed under the
-        previous variation state must never be served under the new one
-        (the cache keys version the *deterministic* layers only, so a
-        change of model is invisible to them).
-        """
-        self.variation = model
-        self.variation_rng = rng
-        self.invalidate_weight_cache()
-
     def set_analog(self, stack) -> None:
         """Attach a :class:`repro.analog.AnalogStack` (or ``None``).
 
-        The stack's layers are deterministic per cache key — its
-        :meth:`~repro.analog.AnalogStack.version_key` (config hash +
-        soft-error epoch version) joins the key, so analog runs keep the
-        cache instead of bypassing it.  Pre-attach entries are dropped
-        for the same reason as in :meth:`set_variation`.
+        Unless the stack is stochastic, its layers are deterministic per
+        cache key — its :meth:`~repro.analog.AnalogStack.version_key`
+        joins the key, so analog runs keep the cache instead of bypassing
+        it.  Drops every cached effective weight: entries computed under
+        the previous stack must never be served under the new one.
         """
         self.analog = stack
         self.invalidate_weight_cache()
-
-    def advance_drift(self, epochs: int = 1) -> None:
-        """Advance retention-drift time by ``epochs`` epoch boundaries.
-
-        Called by the controller's epoch transition.  A no-op unless the
-        variation model actually drifts, so drift-free runs keep their
-        cache keys (and their golden bit-identity) unchanged.
-        """
-        if self.variation is not None and self.variation.drift_per_epoch > 0:
-            self.drift_epochs += epochs
-
-    def refresh_programming(self) -> None:
-        """Model a full reprogram: a fresh write restores every device to
-        its target conductance, clearing accumulated retention drift."""
-        self.drift_epochs = 0
-
-    def _apply_deterministic(
-        self, key: str, eff: np.ndarray, path: str
-    ) -> np.ndarray:
-        """Deterministic analog layers: retention drift + the analog stack.
-
-        Pure functions of (values, cache-key state) — safe to cache.
-        Never mutates ``eff``, which may alias the layer's live weight
-        array (fault-free passthrough) or a mapping's shared clamp
-        buffer; returns a fresh array when any layer is active.
-        """
-        vm = self.variation
-        if vm is not None and self.drift_epochs > 0 and vm.drift_per_epoch > 0:
-            eff = vm.apply_drift(eff, self.drift_epochs)
-        analog = self.analog
-        if analog is not None and analog.active:
-            eff = analog.apply(key, path, eff)
-        return eff
-
-    def _apply_variation(self, eff: np.ndarray) -> np.ndarray:
-        """Programming error + read noise on an effective weight matrix.
-
-        In-situ training reprograms the weights every update, so the
-        programming error is redrawn per read; read noise is cycle-to-
-        cycle by definition.
-        """
-        if self.variation is None or not self.variation.stochastic:
-            return eff
-        assert self.variation_rng is not None
-        out = self.variation.apply_program_error(eff, self.variation_rng)
-        scale = float(np.abs(eff).max()) or 1.0
-        return self.variation.apply_read_noise(out, scale, self.variation_rng)
-
-    # ------------------------------------------------------------------ #
-    # in-situ range clipping
-    # ------------------------------------------------------------------ #
-    def clip_model_weights(self, model: Module) -> None:
-        """Clip every bound layer's weights to its programming range.
-
-        In-situ training has no hidden accumulator: the weight state *is*
-        the device conductances, which saturate at the calibrated range.
-        Without this clip, a weight driven by a pinned (faulty) gradient
-        would drift arbitrarily far in the digital master copy and leak
-        back as a huge value when the block is reprogrammed after a remap.
-        Called by the trainer after every optimiser step.  The per-copy
-        limit overlays are cached by the mappings and only rebuilt when a
-        block recalibrates.
-        """
-        if not self.faults_enabled:
-            return
-        for _, module in model.named_modules():
-            if not isinstance(module, (Conv2d, Linear)) or not module.layer_key:
-                continue
-            fwd, bwd = self.copies[module.layer_key]
-            w2d = module.weight.data.reshape(module.matrix_shape)
-            # The forward copy stores W^T, so its overlay transposes into
-            # the layer's (out, in) orientation.
-            limit = np.minimum(fwd.clip_limit_overlay().T, bwd.clip_limit_overlay())
-            np.clip(w2d, -limit, limit, out=w2d)
-            module.weight.bump_version()
 
     # ------------------------------------------------------------------ #
     # policy hooks

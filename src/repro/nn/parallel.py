@@ -402,12 +402,12 @@ class DataParallelTrainer(Trainer):
     Rank 0 is this process; ranks 1..world-1 are persistent worker
     processes started lazily on the first ``train_epoch`` call.  The
     ``world`` argument is the *requested* rank count; it degrades to 1
-    (in-process sharded execution, same numerics) when a *stochastic*
-    variation model is active — its per-read RNG draws cannot be kept in
-    lockstep across processes (drift-only variation and the
-    deterministic ``repro.analog`` layers parallelise fine) — or when
-    this process is itself a daemon worker (the benchmark runner's pool)
-    and may not spawn children.
+    (in-process sharded execution, same numerics) when the engine's
+    analog stack is *stochastic* — its per-read RNG draws cannot be kept
+    in lockstep across processes (drift and the other deterministic
+    ``repro.analog`` layers parallelise fine) — or when this process is
+    itself a daemon worker (the benchmark runner's pool) and may not
+    spawn children.
 
     ``experiment`` is the full :class:`ExperimentConfig` the workers
     rebuild their replicas from; without it multi-process execution is
@@ -444,16 +444,15 @@ class DataParallelTrainer(Trainer):
         if world == 1:
             return 1
         reason = None
+        engine = _find_engine(self.model)
+        analog = engine.analog if engine is not None else None
         if self.experiment is None:
             reason = "no experiment config"
-        elif (
-            self.experiment.variation is not None
-            and self.experiment.variation.stochastic
-        ):
-            # Only the *stochastic* terms force the fallback: drift and
-            # the repro.analog layers are deterministic per epoch and are
-            # replayed identically by every replica's epoch transition.
-            reason = "stochastic variation model active"
+        elif analog is not None and analog.stochastic:
+            # Only the per-read terms force the fallback: the other layers
+            # are deterministic per epoch and are replayed identically by
+            # every replica's epoch transition.
+            reason = "stochastic analog layer active (variation)"
         elif mp.current_process().daemon:
             reason = "daemon process"
         if reason is not None:

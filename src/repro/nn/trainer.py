@@ -53,8 +53,8 @@ class Trainer:
         self.config = config
         self.rng = rng or np.random.default_rng(config.seed)
         self.telemetry = telemetry if telemetry is not None else null_telemetry()
-        #: called after every optimiser step (the crossbar engine hooks
-        #: its in-situ range clipping here).
+        #: optional ``() -> None`` called after every optimiser step;
+        #: None calls nothing.
         self.post_step = None
         #: optional ``() -> dict`` of extra per-epoch metrics, merged into
         #: each history record and ``epoch_done`` event after the epoch's

@@ -33,10 +33,10 @@ temporaries, the mapping caches
 
 The healthy-cell computation then collapses to a single fused
 ``clip(w, -scale, +scale)`` into a preallocated output buffer, followed
-by pinned-value fixups at the stuck indices only.
-``reference_effective_matrix`` keeps the straightforward dense
-implementation; in float64 the two agree bit for bit (see
-``tests/test_mapping_fastpath.py``).
+by pinned-value fixups at the stuck indices only.  In float64 it agrees
+bit for bit with the straightforward dense formulation it replaced, which
+``tests/mapping_oracle.py`` keeps as the oracle of
+``tests/test_mapping_fastpath.py``.
 """
 
 from __future__ import annotations
@@ -165,7 +165,6 @@ class LayerCopyMapping:
         # stale overlays are rebuilt lazily.
         self._scale_epoch = {"weight": 0, "grad": 0}
         self._overlay_cache: dict[tuple, tuple[int, np.ndarray, np.ndarray]] = {}
-        self._limits_cache: tuple[int, np.ndarray] | None = None
         self._eff_buffers: dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
@@ -280,42 +279,6 @@ class LayerCopyMapping:
         self._fault_version = fault_version
         return faults
 
-    def assemble_masks(self, pair_lookup, fault_version: int) -> dict[str, np.ndarray]:
-        """Dense padded-matrix stuck-cell overlays (slow/reference path).
-
-        ``pair_lookup`` maps a pair id to a ``CrossbarPair``; the four
-        returned boolean arrays (``sa1_pos``, ``sa0_pos``, ``sa1_neg``,
-        ``sa0_neg``) have the padded matrix shape and mark which weight
-        positions are pinned by a stuck device on the positive / negative
-        array of the assigned pair.  The hot path no longer uses these
-        dense masks — they back :meth:`reference_effective_matrix` and
-        external analysis code.
-        """
-        shape = self.padded_shape
-        masks = {
-            key: np.zeros(shape, dtype=bool)
-            for key in ("sa1_pos", "sa0_pos", "sa1_neg", "sa0_neg")
-        }
-        any_fault = False
-        for br, bc, pair_id in self.iter_blocks():
-            pair = pair_lookup(pair_id)
-            pos_map = pair.pos.fault_map
-            neg_map = pair.neg.fault_map
-            rs, cs = self.block_slices(br, bc)
-            if pos_map.count() > 0:
-                masks["sa1_pos"][rs, cs] = pos_map.sa1_mask
-                masks["sa0_pos"][rs, cs] = pos_map.sa0_mask
-                any_fault = True
-            if neg_map.count() > 0:
-                masks["sa1_neg"][rs, cs] = neg_map.sa1_mask
-                masks["sa0_neg"][rs, cs] = neg_map.sa0_mask
-                any_fault = True
-        masks["any"] = (
-            masks["sa1_pos"] | masks["sa0_pos"] | masks["sa1_neg"] | masks["sa0_neg"]
-        )
-        masks["_empty"] = np.asarray(not any_fault)
-        return masks
-
     # ------------------------------------------------------------------ #
     # effective (stuck-at-clamped) weights
     # ------------------------------------------------------------------ #
@@ -336,7 +299,7 @@ class LayerCopyMapping:
 
         The computation runs in ``matrix``'s floating dtype (float32
         training stays in float32; float64 inputs keep full precision and
-        match :meth:`reference_effective_matrix` bit for bit).
+        match the dense oracle in ``tests/mapping_oracle.py`` bit for bit).
 
         .. warning::
            When faults are present, the returned array is a preallocated
@@ -375,51 +338,6 @@ class LayerCopyMapping:
         out.ravel()[faults.idx] = (frac_pos - frac_neg) * sv
         return out
 
-    def reference_effective_matrix(
-        self, matrix: np.ndarray, pair_lookup, fault_version: int,
-        which: str = "weight",
-    ) -> np.ndarray:
-        """Straightforward dense implementation of :meth:`effective_matrix`.
-
-        Pads the matrix to whole blocks, builds the four dense stuck-cell
-        masks, computes the differential fractions everywhere and pins the
-        stuck positions — the allocation-heavy formulation the fast path
-        replaced.  Kept as the equivalence oracle for tests and the
-        baseline for ``benchmarks/bench_hotpath.py``; in float64 it agrees
-        with the fast path bit for bit.
-        """
-        matrix = np.asarray(matrix)
-        if matrix.dtype not in (np.float32, np.float64):
-            matrix = matrix.astype(np.float64)
-        if matrix.shape != self.matrix_shape:
-            raise ValueError(
-                f"matrix shape {matrix.shape} != mapping shape {self.matrix_shape}"
-            )
-        masks = self.assemble_masks(pair_lookup, fault_version)
-        scales = self._refresh_scales(matrix, which)
-        if bool(masks["_empty"]):
-            return matrix
-        rows, cols = self.block_rows, self.block_cols
-        nbr, nbc = self.grid_shape
-        padded = pad_to_blocks(matrix, rows, cols)
-        s_exp = np.repeat(np.repeat(scales, rows, axis=0), cols, axis=1)
-        s_exp = s_exp.astype(matrix.dtype, copy=False)
-
-        # Healthy devices saturate at the calibrated range.
-        eff = np.clip(padded, -s_exp, s_exp)
-
-        # Stuck devices: recompute the differential fractions densely,
-        # pin the faulty ones, and overwrite those positions.
-        frac_pos = np.clip(np.clip(padded, 0.0, None) / s_exp, 0.0, 1.0)
-        frac_neg = np.clip(np.clip(-padded, 0.0, None) / s_exp, 0.0, 1.0)
-        frac_pos[masks["sa1_pos"]] = 1.0
-        frac_pos[masks["sa0_pos"]] = 0.0
-        frac_neg[masks["sa1_neg"]] = 1.0
-        frac_neg[masks["sa0_neg"]] = 0.0
-        pinned = masks["any"]
-        eff[pinned] = ((frac_pos - frac_neg) * s_exp)[pinned]
-        return eff[: matrix.shape[0], : matrix.shape[1]]
-
     # ------------------------------------------------------------------ #
     # calibration scales and derived overlays
     # ------------------------------------------------------------------ #
@@ -454,7 +372,6 @@ class LayerCopyMapping:
             else:
                 self.grad_scales = scales
             self._scale_epoch[which] += 1
-            self._limits_cache = None
         return scales
 
     def _scale_overlay(self, which: str, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -478,27 +395,6 @@ class LayerCopyMapping:
         neg = -pos
         self._overlay_cache[key] = (epoch, neg, pos)
         return neg, pos
-
-    def clip_limit_overlay(self) -> np.ndarray:
-        """Per-weight programming-range limits in the stored orientation.
-
-        Blocks still awaiting calibration (NaN scale) impose no limit
-        (+inf).  Cached against the weight-scale epoch; consumed by the
-        engine's in-situ range clipping after every optimiser step.  The
-        returned array is shared — callers must not mutate it.
-        """
-        epoch = self._scale_epoch["weight"]
-        if self._limits_cache is not None and self._limits_cache[0] == epoch:
-            return self._limits_cache[1]
-        m, n = self.matrix_shape
-        limits = np.where(np.isnan(self.scales), np.inf, self.scales)
-        overlay = np.ascontiguousarray(
-            np.repeat(
-                np.repeat(limits, self.block_rows, axis=0), self.block_cols, axis=1
-            )[:m, :n]
-        )
-        self._limits_cache = (epoch, overlay)
-        return overlay
 
     def _eff_buffer(self, which: str, dtype) -> np.ndarray:
         key = (which, np.dtype(dtype).str)

@@ -33,18 +33,15 @@ Hot-path discipline
 -------------------
 The per-MVM fast path (``CrossbarEngine.step_weights`` cache hits) emits
 *nothing*: the engine keeps its hit/miss/recompute statistics as plain
-``int`` attributes and publishes them into the sink once per run.  Two
-opt-in flags unlock deeper instrumentation:
-
-* :attr:`Telemetry.detail` — per-recompute events on the (already
-  expensive) cache-miss path;
-* :attr:`Telemetry.profile` — per-layer forward/backward spans, MVM
-  counters and per-step timing through :mod:`repro.nn`; off by default
-  because a span per layer per batch is real work.
+``int`` attributes and publishes them into the sink once per run.  One
+opt-in flag unlocks deeper instrumentation: :attr:`Telemetry.profile` —
+per-layer forward/backward spans, MVM counters, per-step timing through
+:mod:`repro.nn` and a span per cache-miss recompute; off by default
+because a span per layer per batch is real work.
 
 The ``bench_hotpath`` telemetry gate asserts the cache-hit MVM cost moves
-< 3% with a sink attached and both flags off (it also reports the
-measured cost with ``profile`` *on*).
+< 3% with a sink attached and the flag off (it also reports the measured
+cost with ``profile`` *on*).
 
 Cross-process merge
 -------------------
@@ -122,9 +119,6 @@ class Telemetry:
         self.enabled = enabled
         self.echo = echo
         self.stream = stream if stream is not None else sys.stderr
-        #: opt-in per-MVM instrumentation (recompute events on the cache
-        #: miss path); keep False on hot-path runs.
-        self.detail = False
         #: opt-in profiling: per-layer fwd/bwd spans, MVM counters and
         #: per-step timing in repro.nn.  Off by default (hot path).
         self.profile = False

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotation only)
     from repro.analog import AnalogConfig
-    from repro.faults.variation import VariationModel
 
 __all__ = [
     "CrossbarConfig",
@@ -274,13 +273,11 @@ class ExperimentConfig:
     #: the config so ablation variants survive pickling into runner
     #: worker processes.
     policy_kwargs: dict[str, Any] = field(default_factory=dict)
-    #: optional analog non-ideality model (programming error, read noise)
-    #: applied on top of the stuck-at faults; None disables it.
-    variation: "VariationModel | None" = None
     #: optional composable analog layer stack (DAC/ADC quantization,
-    #: conductance mapping, IR drop, transient soft errors + scrubbing);
-    #: None disables it — see :mod:`repro.analog` and the ``--analog``
-    #: CLI presets.
+    #: conductance mapping, IR drop, transient soft errors + scrubbing,
+    #: programming error, read noise, retention drift) applied on top of
+    #: the stuck-at faults; None disables it — see :mod:`repro.analog`
+    #: and the ``--analog`` CLI presets.
     analog: "AnalogConfig | None" = None
     seed: int = 0
     #: number of simulated chips the model is pipeline-partitioned across

@@ -1,6 +1,10 @@
-"""Analog non-ideality stack: layer properties, engine integration, and
-the three variation-subsystem bugfix regressions (dead drift path,
-non-finite sigma validation, cache-bypass audit)."""
+"""Analog non-ideality stack: layer properties, engine integration, the
+variation layer (programming error, read noise, retention drift) and its
+regressions (dead drift path, non-finite sigma validation, cache-bypass
+audit), and the golden run of the whole folded stack."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from repro.analog import (
     QuantizationConfig,
     SoftErrorConfig,
     SoftErrorState,
+    VariationModel,
     attenuation_block,
     attenuation_map,
     clipped_fraction,
@@ -28,7 +33,6 @@ from repro.analog import (
 )
 from repro.bist.scrub import scrub_pass_cycles
 from repro.faults.types import FaultType
-from repro.faults.variation import VariationModel
 from repro.nn.fault_aware import CrossbarEngine
 from repro.nn.layers import Conv2d, Flatten, Linear, Sequential
 from repro.reram.chip import Chip
@@ -43,6 +47,8 @@ from repro.utils.config import (
 from repro.utils.rng import derive_rng
 
 SETTINGS = settings(max_examples=40, deadline=None)
+
+GOLDEN = Path(__file__).parent / "data" / "golden_variation.json"
 
 finite_arrays = st.lists(
     st.floats(-100.0, 100.0, allow_nan=False), min_size=1, max_size=64
@@ -342,9 +348,9 @@ class TestAnalogStack:
 
 
 # --------------------------------------------------------------------- #
-# VariationModel bugfixes (satellites: non-finite validation + describe)
+# the variation layer: validation, describe, layer math
 # --------------------------------------------------------------------- #
-class TestVariationModelFixes:
+class TestVariationModel:
     @pytest.mark.parametrize("field", ["program_sigma", "read_sigma",
                                        "drift_per_epoch"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
@@ -353,7 +359,16 @@ class TestVariationModelFixes:
         with pytest.raises(ValueError, match="finite"):
             VariationModel(**{field: bad})
 
-    def test_describe_consistent_for_explicit_zero(self):
+    def test_invalid_parameters(self):
+        with pytest.raises(ValueError):
+            VariationModel(program_sigma=-1)
+        with pytest.raises(ValueError):
+            VariationModel(drift_per_epoch=1.0)
+
+    def test_describe(self):
+        assert "no analog variation" in VariationModel().describe()
+        assert "read sigma" in VariationModel(read_sigma=0.01).describe()
+        # Consistent for an explicit zero.
         base = VariationModel(program_sigma=0.1, read_sigma=0.05)
         zeroed = replace(base, read_sigma=0.0)
         assert zeroed.describe() == VariationModel(program_sigma=0.1).describe()
@@ -367,6 +382,50 @@ class TestVariationModelFixes:
         noisy = VariationModel(read_sigma=0.01)
         assert noisy.active and noisy.stochastic
         assert not VariationModel().active
+
+    def test_program_error_multiplicative(self, rng):
+        vm = VariationModel(program_sigma=0.05)
+        w = np.ones((8, 8))
+        out = vm.apply_program_error(w, rng)
+        assert not np.allclose(out, w)
+        assert (out > 0).all()  # multiplicative: sign preserved
+        assert abs(out.mean() - 1.0) < 0.1
+
+    def test_read_noise_additive(self, rng):
+        vm = VariationModel(read_sigma=0.01)
+        w = np.zeros((16, 16))
+        out = vm.apply_read_noise(w, scale=1.0, rng=rng)
+        assert out.std() == pytest.approx(0.01, rel=0.5)
+
+    def test_drift_shrinks_magnitude(self):
+        vm = VariationModel(drift_per_epoch=0.1)
+        w = np.full(4, 2.0)
+        np.testing.assert_allclose(vm.apply_drift(w, epochs=2), 2.0 * 0.81)
+
+    def test_engine_applies_variation(self):
+        from repro.core.controller import build_experiment
+
+        cfg = ExperimentConfig(
+            train=TrainConfig(
+                model="vgg11", epochs=1, batch_size=16, n_train=32,
+                n_test=32, width_mult=0.125,
+            ),
+            chip=ChipConfig(crossbar=CrossbarConfig(rows=32, cols=32)),
+            faults=FaultConfig(pre_enabled=False, post_enabled=False),
+            policy="none",
+            seed=9,
+            analog=AnalogConfig(
+                variation=VariationModel(program_sigma=0.05, read_sigma=0.01)
+            ),
+        )
+        ctx = build_experiment(cfg)
+        key = next(iter(ctx.engine.copies))
+        for _, mod in ctx.model.named_modules():
+            if getattr(mod, "layer_key", None) == key:
+                w2d = mod.weight.data.reshape(mod.matrix_shape)
+                out, _ = ctx.engine.step_weights(key, w2d, need_backward=False)
+                assert not np.allclose(out, w2d)
+                break
 
 
 # --------------------------------------------------------------------- #
@@ -403,41 +462,49 @@ def _fwd(engine: CrossbarEngine, layer, w2d: np.ndarray) -> np.ndarray:
     return engine.step_weights(layer.layer_key, w2d, need_backward=False)[0]
 
 
+def _variation_stack(rng=None, **sigmas) -> AnalogStack:
+    """A stack holding only the variation layer."""
+    return AnalogStack(
+        AnalogConfig(variation=VariationModel(**sigmas)), noise_rng=rng
+    )
+
+
 class TestEngineDriftPath:
     """Regression for the dead ``apply_drift`` path (bugfix satellite)."""
 
-    def test_drift_scales_effective_weights_and_refresh_clears(self, bound):
+    def test_drift_scales_effective_weights(self, bound):
         model, engine = bound
         conv = model.items[0]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        engine.set_variation(VariationModel(drift_per_epoch=0.1), None)
+        stack = _variation_stack(drift_per_epoch=0.1)
+        engine.set_analog(stack)
         fresh = _fwd(engine, conv, w2d).copy()
-        engine.advance_drift()
-        engine.advance_drift()
+        stack.advance_epoch(0)
+        stack.advance_epoch(1)
         drifted = _fwd(engine, conv, w2d).copy()
         np.testing.assert_allclose(drifted, fresh * 0.9**2, rtol=1e-6)
-        # A full reprogram restores the undrifted conductances, bit-exact.
-        engine.refresh_programming()
-        np.testing.assert_array_equal(_fwd(engine, conv, w2d), fresh)
 
     def test_drift_only_model_stays_cached(self, bound):
         model, engine = bound
         conv = model.items[0]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
-        engine.set_variation(VariationModel(drift_per_epoch=0.1), None)
+        stack = _variation_stack(drift_per_epoch=0.1)
+        engine.set_analog(stack)
         engine.reset_cache_stats()
         _fwd(engine, conv, w2d)
         _fwd(engine, conv, w2d)
         assert engine.cache_misses == 1 and engine.cache_hits == 1
         # ... but an epoch boundary is a *different* key, never stale.
-        engine.advance_drift()
+        stack.advance_epoch(0)
         _fwd(engine, conv, w2d)
         assert engine.cache_misses == 2
 
-    def test_advance_drift_noop_without_drift(self, bound):
-        _, engine = bound
-        engine.advance_drift()
-        assert engine.drift_epochs == 0  # keys (and goldens) unchanged
+    def test_epoch_without_drift_keeps_version_key(self):
+        stack = AnalogStack(ANALOG_PRESETS["quant"])
+        key = stack.version_key()
+        stack.advance_epoch(0)
+        assert stack.drift_age == 0  # keys (and goldens) unchanged
+        assert stack.version_key() == key
 
     def test_drift_changes_end_to_end_results(self):
         from repro.core.controller import run_experiment
@@ -451,8 +518,9 @@ class TestEngineDriftPath:
                 chip=ChipConfig(crossbar=CrossbarConfig(rows=32, cols=32)),
                 faults=FaultConfig(post_enabled=False),
                 policy="none",
-                variation=(
-                    VariationModel(drift_per_epoch=drift) if drift else None
+                analog=(
+                    AnalogConfig(variation=VariationModel(drift_per_epoch=drift))
+                    if drift else None
                 ),
                 seed=7,
             )
@@ -476,8 +544,8 @@ class TestCacheBypassAudit:
         conv = model.items[0]
         for m in engine.copies[conv.layer_key]:
             _inject_some_faults(small_chip, m)
-        engine.set_variation(
-            VariationModel(read_sigma=0.05), derive_rng(3, "variation")
+        engine.set_analog(
+            _variation_stack(derive_rng(3, "variation"), read_sigma=0.05)
         )
         w2d = conv.weight.data.reshape(conv.matrix_shape)
         a = _fwd(engine, conv, w2d).copy()
@@ -493,10 +561,9 @@ class TestCacheBypassAudit:
         w2d = conv.weight.data.reshape(conv.matrix_shape)
         runs = []
         for _ in range(2):
-            engine.set_variation(
-                VariationModel(program_sigma=0.1, read_sigma=0.05),
-                derive_rng(11, "variation"),
-            )
+            engine.set_analog(_variation_stack(
+                derive_rng(11, "variation"), program_sigma=0.1, read_sigma=0.05
+            ))
             runs.append([
                 _fwd(engine, conv, w2d).copy()
                 for _ in range(3)
@@ -507,8 +574,8 @@ class TestCacheBypassAudit:
     def test_step_weights_bypasses_under_read_noise(self, bound):
         model, engine = bound
         conv = model.items[0]
-        engine.set_variation(
-            VariationModel(read_sigma=0.05), derive_rng(5, "variation")
+        engine.set_analog(
+            _variation_stack(derive_rng(5, "variation"), read_sigma=0.05)
         )
         w2d = conv.weight.data.reshape(conv.matrix_shape)
         a_f, a_b = engine.step_weights(conv.layer_key, w2d)
@@ -517,13 +584,16 @@ class TestCacheBypassAudit:
         assert not np.array_equal(a_b, b_b)
         assert not engine._eff_cache
 
-    def test_set_variation_invalidates_cached_entries(self, bound):
+    def test_set_analog_invalidates_cached_entries(self, bound):
         model, engine = bound
         conv = model.items[0]
         w2d = conv.weight.data.reshape(conv.matrix_shape)
+        engine.set_analog(_variation_stack(drift_per_epoch=0.2))
         _fwd(engine, conv, w2d)
         engine.reset_cache_stats()
-        engine.set_variation(VariationModel(drift_per_epoch=0.2), None)
+        # A second stack of the same config has the same version key, so
+        # only the invalidation on attach can force the miss.
+        engine.set_analog(_variation_stack(drift_per_epoch=0.2))
         _fwd(engine, conv, w2d)
         assert engine.cache_misses == 1 and engine.cache_hits == 0
 
@@ -647,6 +717,54 @@ class TestEndToEndAnalog:
             _analog_experiment("quant", chips=2, chip_slack=2.0)
         )
         assert np.isfinite(result.final_accuracy)
+
+
+class TestVariationGolden:
+    """The whole folded stack (drift, the ``full`` preset's layers,
+    programming error, read noise) must stay bit-identical to the run
+    recorded before the variation layer joined the stack."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.core.controller import run_experiment
+
+        golden = json.loads(GOLDEN.read_text())
+        gc = golden["config"]
+        config = ExperimentConfig(
+            train=TrainConfig(
+                model=gc["model"], epochs=gc["epochs"],
+                batch_size=gc["batch_size"], n_train=gc["n_train"],
+                n_test=gc["n_test"], width_mult=gc["width_mult"],
+                dtype=gc["dtype"],
+            ),
+            chip=ChipConfig(
+                crossbar=CrossbarConfig(rows=gc["crossbar"],
+                                        cols=gc["crossbar"])
+            ),
+            policy=gc["policy"],
+            remap_threshold=gc["remap_threshold"],
+            chips=1,
+            seed=gc["seed"],
+            analog=replace(
+                ANALOG_PRESETS[gc["analog"]],
+                variation=VariationModel(**gc["variation"]),
+            ),
+        )
+        return golden, run_experiment(config)
+
+    def test_history_bit_identical(self, run):
+        golden, result = run
+        for expected, got in zip(golden["history"],
+                                 result.train_result.history, strict=True):
+            assert repr(got["loss"]) == expected["loss"]
+            assert repr(got["test_acc"]) == expected["test_acc"]
+
+    def test_summary_bit_identical(self, run):
+        golden, result = run
+        assert repr(result.final_accuracy) == golden["final_accuracy"]
+        assert result.num_remaps == golden["num_remaps"]
+        assert repr(result.mean_chip_density) == golden["mean_chip_density"]
+        assert repr(result.max_pair_density) == golden["max_pair_density"]
 
 
 class TestCliAnalogPreset:

@@ -1,12 +1,10 @@
-"""Tests for the extension modules: variation, pipeline, analysis,
-charts, CLI."""
+"""Tests for the extension modules: pipeline, analysis, charts, CLI."""
 
 import numpy as np
 import pytest
 
 from repro.core.analysis import SweepResult, accuracy_loss_table, run_sweep, seed_average
 from repro.core.controller import build_experiment
-from repro.faults.variation import VariationModel
 from repro.nn.tensor import Tensor
 from repro.reram.pipeline import PipelineModel
 from repro.utils.charts import render_bars, render_grouped_bars
@@ -31,53 +29,6 @@ def _tiny_config(policy: str = "none", **kw) -> ExperimentConfig:
         seed=9,
         **kw,
     )
-
-
-class TestVariationModel:
-    def test_inactive_by_default(self):
-        assert not VariationModel().active
-
-    def test_program_error_multiplicative(self, rng):
-        vm = VariationModel(program_sigma=0.05)
-        w = np.ones((8, 8))
-        out = vm.apply_program_error(w, rng)
-        assert not np.allclose(out, w)
-        assert (out > 0).all()  # multiplicative: sign preserved
-        assert abs(out.mean() - 1.0) < 0.1
-
-    def test_read_noise_additive(self, rng):
-        vm = VariationModel(read_sigma=0.01)
-        w = np.zeros((16, 16))
-        out = vm.apply_read_noise(w, scale=1.0, rng=rng)
-        assert out.std() == pytest.approx(0.01, rel=0.5)
-
-    def test_drift_shrinks_magnitude(self):
-        vm = VariationModel(drift_per_epoch=0.1)
-        w = np.full(4, 2.0)
-        np.testing.assert_allclose(vm.apply_drift(w, epochs=2), 2.0 * 0.81)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            VariationModel(program_sigma=-1)
-        with pytest.raises(ValueError):
-            VariationModel(drift_per_epoch=1.0)
-
-    def test_engine_applies_variation(self, rng):
-        cfg = _tiny_config(
-            variation=VariationModel(program_sigma=0.05, read_sigma=0.01)
-        )
-        ctx = build_experiment(cfg)
-        key = next(iter(ctx.engine.copies))
-        for _, mod in ctx.model.named_modules():
-            if getattr(mod, "layer_key", None) == key:
-                w2d = mod.weight.data.reshape(mod.matrix_shape)
-                out, _ = ctx.engine.step_weights(key, w2d, need_backward=False)
-                assert not np.allclose(out, w2d)
-                break
-
-    def test_describe(self):
-        assert "no analog variation" in VariationModel().describe()
-        assert "read sigma" in VariationModel(read_sigma=0.01).describe()
 
 
 class TestPipelineModel:

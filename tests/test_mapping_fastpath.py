@@ -1,8 +1,8 @@
 """Equivalence of the sparse fast-path ``effective_matrix`` vs the oracle.
 
 The fast path (cached flat stuck-cell indices + clip against expanded
-scale overlays + sparse fixups) must agree with the retained dense
-reference implementation bit for bit in float64 — across fault
+scale overlays + sparse fixups) must agree with the dense oracle in
+``tests/mapping_oracle.py`` bit for bit in float64 — across fault
 densities, remaps, scale recalibrations and both scale sets.
 """
 
@@ -11,6 +11,7 @@ import pytest
 
 from repro.faults.types import FaultType
 from repro.reram.chip import Chip
+from tests.mapping_oracle import reference_effective_matrix
 
 
 @pytest.fixture
@@ -35,9 +36,7 @@ def _inject_random(chip: Chip, mapping, rng, density: float) -> None:
 
 def _both(mapping, w, chip, which="weight"):
     fast = mapping.effective_matrix(w, chip.pair, chip.fault_version, which=which)
-    ref = mapping.reference_effective_matrix(
-        w, chip.pair, chip.fault_version, which=which
-    )
+    ref = reference_effective_matrix(mapping, w, chip.pair, which=which)
     return fast, ref
 
 

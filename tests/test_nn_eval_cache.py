@@ -10,9 +10,9 @@ cache does exactly the work it is counted to do.
 import numpy as np
 import pytest
 
+from repro.analog import AnalogConfig, AnalogStack, VariationModel
 from repro.core.controller import apply_epoch_end, build_experiment
 from repro.faults.types import FaultType
-from repro.faults.variation import VariationModel
 from repro.nn.data import cached_dataset, clear_dataset_cache, make_dataset
 from repro.nn.fault_aware import CrossbarEngine
 from repro.nn.layers import Conv2d, Flatten, Linear, Sequential
@@ -164,10 +164,12 @@ class TestEffectiveWeightCache:
     def test_variation_bypasses_cache(self, faulty_bound, rng):
         model, engine = faulty_bound
         conv = model.items[0]
-        engine.set_variation(
-            VariationModel(program_sigma=0.1, read_sigma=0.05),
-            derive_rng(3, "variation"),
-        )
+        engine.set_analog(AnalogStack(
+            AnalogConfig(
+                variation=VariationModel(program_sigma=0.1, read_sigma=0.05)
+            ),
+            noise_rng=derive_rng(3, "variation"),
+        ))
         w2d = conv.weight.data.reshape(conv.matrix_shape)
         a = _fwd(engine, conv, w2d).copy()
         b = _fwd(engine, conv, w2d).copy()

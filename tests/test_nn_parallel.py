@@ -10,10 +10,12 @@ streams.
 """
 
 import multiprocessing as mp
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.analog import AnalogConfig, VariationModel
 from repro.core.controller import apply_epoch_end, build_experiment, run_experiment
 from repro.nn.parallel import (
     WORKERS_ENV,
@@ -155,6 +157,28 @@ class TestWorldResolution:
             e["payload"]["reason"] == "no experiment config"
             for e in tel.filter("dp_fallback")
         )
+        # Read noise is redrawn per read, so ranks could not stay in
+        # lockstep: two requested ranks train on one.  Drift is
+        # deterministic per epoch and keeps both.
+        for variation, world in (
+            (VariationModel(read_sigma=0.02), 1),
+            (VariationModel(drift_per_epoch=0.1), 2),
+        ):
+            tel = Telemetry(echo=False)
+            config = replace(
+                _config(2, epochs=1), analog=AnalogConfig(variation=variation)
+            )
+            ctx = build_experiment(config, telemetry=tel)
+            try:
+                assert np.isfinite(ctx.trainer.train_epoch(0))
+            finally:
+                ctx.trainer.shutdown()
+            assert ctx.trainer.world == world, variation
+            reasons = [e["payload"]["reason"] for e in tel.filter("dp_fallback")]
+            if world == 1:
+                assert any("variation" in r for r in reasons), reasons
+            else:
+                assert reasons == [], reasons
 
     def test_restart_after_shutdown_raises(self):
         ctx = build_experiment(_config(1, epochs=1))
