@@ -361,12 +361,13 @@ def run_experiment(
     sample_health(chip, tel, epoch=-1)
 
     def on_epoch_end(epoch: int, trainer: Trainer) -> None:
-        apply_epoch_end(ctx, bist_rng, epoch, trainer)
-        # Data-parallel training: have the worker replicas replay the
-        # same transition before they accept the next epoch command.
+        # Data-parallel training: the worker replicas replay the same
+        # transition while rank 0 applies it, and finish it before they
+        # accept the next command.
         broadcast = getattr(trainer, "broadcast_epoch_end", None)
         if broadcast is not None:
             broadcast(epoch)
+        apply_epoch_end(ctx, bist_rng, epoch, trainer)
 
     try:
         with tel.span("train", model=config.train.model, policy=config.policy):

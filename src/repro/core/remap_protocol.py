@@ -200,8 +200,10 @@ class RemapProtocol:
             )
             if s_tile not in plan.sender_tiles:
                 plan.sender_tiles.append(s_tile)
+            # sorted(set()) rather than np.unique: NumPy's first unique
+            # call imports numpy.ma (about 10 ms in a fresh worker).
             plan.responders.setdefault(
-                s_tile, np.unique(r_tile[candidates]).tolist()
+                s_tile, sorted(set(r_tile[candidates].tolist()))
             )
             plan.matches[s_tile] = receiver_tile
         return plan

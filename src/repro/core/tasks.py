@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.reram.mapping import BACKWARD, FORWARD, LayerCopyMapping
 
 __all__ = [
@@ -88,9 +90,8 @@ def group_tasks_by_chip(tasks: list[Task], fleet) -> dict[int, list[Task]]:
     layer was originally placed on — remapping is physical, not logical.
     Order within each bucket preserves the input order (determinism).
     """
+    pairs = np.fromiter((t.pair_id for t in tasks), np.int64, len(tasks))
     grouped: dict[int, list[Task]] = {}
-    for task in tasks:
-        grouped.setdefault(
-            fleet.chip_of_pair(task.pair_id).chip_id, []
-        ).append(task)
+    for task, index in zip(tasks, fleet.chip_indices(pairs).tolist()):
+        grouped.setdefault(fleet.chips[index].chip_id, []).append(task)
     return grouped

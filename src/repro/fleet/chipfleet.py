@@ -155,6 +155,16 @@ class ChipFleet:
             raise IndexError(f"pair {pair_id} outside the fleet")
         return chip
 
+    def chip_indices(self, pair_ids) -> np.ndarray:
+        """Index in ``chips`` of the chip hosting each pair id: one
+        :meth:`chip_of_pair` for a whole array."""
+        pair_ids = np.asarray(pair_ids, dtype=np.int64)
+        if pair_ids.size and (
+            pair_ids.min() < 0 or pair_ids.max() >= self.num_pairs
+        ):
+            raise IndexError("a pair id outside the fleet")
+        return np.searchsorted(self._pair_bases, pair_ids, side="right") - 1
+
     def chip_of_tile(self, tile_id: int) -> Chip:
         index = bisect_right(self._tile_bases, tile_id) - 1
         chip = self.chips[index]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.remap_protocol import RemapPlan, RemapProtocol
-from repro.core.tasks import Task, group_tasks_by_chip
+from repro.core.tasks import Task
 from repro.fleet.chipfleet import ChipFleet
 from repro.reram.chip import Chip, SpareExhaustedError
 
@@ -124,47 +124,52 @@ class FleetRemapProtocol:
         """Local pass on every chip, then evictions for unmatched senders."""
         fleet = self.fleet
         plan = FleetRemapPlan(epoch=epoch)
-        by_chip = group_tasks_by_chip(tasks, fleet)
-        idle_by_chip: dict[int, list[int]] = {}
-        for pid in idle_pairs or []:
-            idle_by_chip.setdefault(
-                fleet.chip_of_pair(pid).chip_id, []
-            ).append(pid)
+        pair_density = np.asarray(pair_density, dtype=np.float64)
+        pairs = np.fromiter((t.pair_id for t in tasks), np.int64, len(tasks))
+        task_chip = fleet.chip_indices(pairs)
+        idle = np.asarray(idle_pairs or [], dtype=np.int64)
+        idle_chip = fleet.chip_indices(idle)
         matched: set[int] = set()
-        for chip, protocol in zip(fleet.chips, self.protocols):
+        for index, protocol in enumerate(self.protocols):
             sub = protocol.plan(
-                by_chip.get(chip.chip_id, []),
+                [tasks[i] for i in np.flatnonzero(task_chip == index)],
                 pair_density,
-                idle_pairs=idle_by_chip.get(chip.chip_id, []),
+                idle_pairs=idle[idle_chip == index].tolist(),
                 epoch=epoch,
             )
-            plan.sub_plans.append((chip.chip_id, sub))
+            plan.sub_plans.append((fleet.chips[index].chip_id, sub))
             matched.update(id(d.sender) for d in sub.decisions)
+        # The senders no local pass matched: chip by chip, most faulty
+        # first, ties to the lower pair id.
+        density = pair_density[pairs]
+        order = np.lexsort((pairs, -density, task_chip))
+        unmatched = [
+            i for i in order[density[order] > self.threshold].tolist()
+            if (not self.phase_priority or tasks[i].tolerance_rank == 0)
+            and id(tasks[i]) not in matched
+        ]
+        if not unmatched:
+            return plan
         # Pairs that will be occupied once the local plans execute: every
         # currently mapped pair plus every local receiver.  (Freed sender
         # pairs of one-way moves are conservatively kept occupied — an
         # eviction target must be clean *now*, not after the dust settles.)
-        occupied = fleet.occupied_pair_ids()
-        for _, sub in plan.sub_plans:
-            occupied.update(d.receiver.pair_id for d in sub.decisions)
-        for chip in fleet.chips:
-            unmatched = [
-                t
-                for t in by_chip.get(chip.chip_id, [])
-                if pair_density[t.pair_id] > self.threshold
-                and (not self.phase_priority or t.tolerance_rank == 0)
-                and id(t) not in matched
-            ]
-            unmatched.sort(
-                key=lambda t: (-float(pair_density[t.pair_id]), t.pair_id)
+        # A fleet of one evicts nowhere and needs no occupancy.
+        occupied: set[int] = set()
+        if fleet.num_chips > 1:
+            occupied = fleet.occupied_pair_ids()
+            for _, sub in plan.sub_plans:
+                occupied.update(d.receiver.pair_id for d in sub.decisions)
+        for i in unmatched:
+            task = tasks[i]
+            decision = self._plan_eviction(
+                fleet.chips[task_chip[i]], task, pair_density, occupied
             )
-            for task in unmatched:
-                decision = self._plan_eviction(chip, task, pair_density, occupied)
-                if decision is None:
-                    plan.stranded.append(task.pair_id)
-                    continue
-                occupied.add(decision.target_pair)
-                plan.evictions.append(decision)
+            if decision is None:
+                plan.stranded.append(task.pair_id)
+                continue
+            occupied.add(decision.target_pair)
+            plan.evictions.append(decision)
         return plan
 
     def _plan_eviction(

@@ -19,12 +19,26 @@ shard-size-weighted mean of the per-shard losses.  The contract is
 full-batch training.
 
 Workers are persistent SPMD processes of :mod:`repro.workers`, driven
-over their pipe: ``("epoch", e)`` runs one sharded epoch, ``("hook",
-e)`` replays the controller's end-of-epoch transition (fault injection,
-BIST, policy remap) on the worker's replica, ``("stop",)`` returns the
-worker's telemetry snapshot and exits; a rank that dies aborts the
-barriers.  Replicas are rebuilt from the experiment config in each
-worker, so determinism rests on the named RNG streams of
+over their pipe by four commands:
+
+- ``("epoch", e)`` runs one sharded epoch;
+- ``("hook", e)`` replays the controller's end-of-epoch transition
+  (fault injection, BIST, policy remap) on the worker's replica.  The
+  controller sends it *before* rank 0 applies the same transition, so
+  the ranks replay it while rank 0 applies it; the pipe still delivers
+  it ahead of the next command;
+- ``("eval",)`` scores the worker's share of the test split and replies
+  with its count of correct predictions.  Eval batch ``k`` (at
+  :meth:`~repro.nn.trainer.Trainer.eval_batch_size`) runs on rank
+  ``k % world``; rank 0 scores its own share, adds the workers' counts
+  and divides by the split's size.  Each batch's logits come from the
+  same one-BLAS-thread forward on a bit-identical replica, so the
+  accuracy equals a single process's;
+- ``("stop",)`` returns the worker's telemetry snapshot and exits.
+
+A rank that dies aborts the barriers, and rank 0 waiting for an eval
+share sees it die at once.  Replicas are rebuilt from the experiment
+config in each worker, so determinism rests on the named RNG streams of
 :class:`repro.utils.rng.RngHub` — every rank derives the same
 ``train``/``faults``/``bist`` streams and consumes them identically.
 """
@@ -324,6 +338,18 @@ def _run_sharded_epoch(trainer: Trainer, comm: _ShardComm, epoch: int) -> float:
     return total_loss / total_n
 
 
+def _eval_share(trainer: Trainer, rank: int, world: int) -> int:
+    """Correct predictions of the eval batches rank ``rank`` owns: batch
+    ``k`` of the test split, at the trainer's eval batch size, runs on
+    rank ``k % world``."""
+    x, y = trainer.dataset.x_test, trainer.dataset.y_test
+    b = trainer.eval_batch_size()
+    return sum(
+        trainer.count_correct(x[lo : lo + b], y[lo : lo + b])
+        for lo in range(rank * b, len(y), world * b)
+    )
+
+
 # --------------------------------------------------------------------- #
 # worker process main
 # --------------------------------------------------------------------- #
@@ -372,6 +398,9 @@ def _rank_main(conn, sink, rank, world, experiment, shm_name, barriers,
                 sink.count("dp.worker_epochs")
             elif cmd[0] == "hook":
                 apply_epoch_end(ctx, bist_rng, cmd[1], trainer)
+            elif cmd[0] == "eval":
+                conn.send(_eval_share(trainer, rank, world))
+                sink.count("dp.worker_evals")
             elif cmd[0] == "stop":
                 return sink.snapshot()
             else:  # pragma: no cover - protocol error
@@ -532,11 +561,43 @@ class DataParallelTrainer(Trainer):
     def broadcast_epoch_end(self, epoch: int) -> None:
         """Replay the controller's epoch-end transition on every worker.
 
-        Called by ``run_experiment`` *after* rank 0 applied the real
-        transition; command ordering on the pipe guarantees workers
-        replay it before starting the next epoch.
+        Called by ``run_experiment`` *before* rank 0 applies the real
+        transition, so the ranks replay it meanwhile: the replay reads
+        only the rank's own replica and RNG streams, and command
+        ordering on the pipe makes workers finish it before their next
+        command.
         """
         self._send(("hook", epoch))
+
+    def test_correct(self) -> int:
+        """The test split's correct count, scored by every live rank.
+
+        Without live ranks (world 1, before the first epoch, after
+        :meth:`shutdown`) rank 0 scores it alone.  Rank 0 collects the
+        shares under the barrier timeout, and a rank that dies raises
+        :class:`~repro.workers.WorkerDied` at once.
+        """
+        if self._group is None:
+            return super().test_correct()
+        world = self.world
+        batches = -(-len(self.dataset.y_test) // self.eval_batch_size())
+        # Ranks 1 .. min(world, batches) - 1 own at least one batch.
+        peers = self._group.workers[: min(world, batches) - 1]
+        try:
+            for worker in peers:
+                worker.send(("eval",))
+            correct = _eval_share(self, 0, world)
+            for worker in peers:
+                correct += worker.recv(_BARRIER_TIMEOUT)
+        except BaseException:
+            # Replies may be left unread in the pipes: kill the ranks
+            # (views into the exchange segment dropped first) before
+            # ``shutdown`` would ask them for their telemetry.
+            self._comm = None
+            self._group.close()
+            self.shutdown()
+            raise
+        return correct
 
     def _send(self, command) -> None:
         if self._group is not None:

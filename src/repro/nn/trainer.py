@@ -163,14 +163,23 @@ class Trainer:
 
         A thin argmax wrapper over :meth:`predict` — serving and
         evaluation share one inference surface.  Supplied inputs need
-        their labels; :meth:`predict` gives logits without them.
+        their labels; :meth:`predict` gives logits without them.  The
+        test split's count comes from :meth:`test_correct`.
         """
         if x is None:
-            x, y = self.dataset.x_test, self.dataset.y_test
+            return self.test_correct() / len(self.dataset.y_test)
         if y is None:
             raise ValueError("evaluate(x) needs the labels y of the supplied inputs")
-        logits = self.predict(x)
-        return int((logits.argmax(axis=1) == y).sum()) / len(y)
+        return self.count_correct(x, y) / len(y)
+
+    def test_correct(self) -> int:
+        """Correct top-1 predictions on the test split (the data-parallel
+        trainer splits this count over its ranks)."""
+        return self.count_correct(self.dataset.x_test, self.dataset.y_test)
+
+    def count_correct(self, x: np.ndarray, y: np.ndarray) -> int:
+        """Correct top-1 predictions of :meth:`predict` on ``x``."""
+        return int((self.predict(x).argmax(axis=1) == y).sum())
 
     def num_batches(self) -> int:
         n = len(self.dataset.y_train)

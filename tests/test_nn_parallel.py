@@ -6,7 +6,8 @@ ranks (worker processes, fork or spawn) must produce bit-identical
 losses, weights and batch-norm statistics, including across the
 controller's epoch-end transitions (post-deployment faults, BIST,
 Remap-D remaps) which worker replicas replay from the shared RNG
-streams.
+streams, and the same test accuracy, which live ranks score eval batch
+by eval batch.
 """
 
 import multiprocessing as mp
@@ -41,9 +42,12 @@ def _clean_workers_env(monkeypatch):
 
 
 def _config(workers: int, policy: str = "remap-d", **train_kw) -> ExperimentConfig:
+    # Eval batches of 12, 12 and 8: with ranks live the shared
+    # evaluation splits unevenly and ends on a short batch.
     train = dict(
         model="vgg11", epochs=2, batch_size=16, n_train=48, n_test=32,
-        width_mult=0.125, data_parallel=workers, grad_shards=4,
+        eval_batch=12, width_mult=0.125, data_parallel=workers,
+        grad_shards=4,
     )
     train.update(train_kw)
     return ExperimentConfig(
@@ -56,7 +60,9 @@ def _config(workers: int, policy: str = "remap-d", **train_kw) -> ExperimentConf
 
 
 def _train(config: ExperimentConfig, start_method: str | None = None):
-    """Full dp run with the controller's epoch-end replay protocol."""
+    """Full dp run with the controller's epoch-end replay protocol: the
+    ranks replay the transition while rank 0 applies it, and the final
+    evaluation is scored by every live rank."""
     ctx = build_experiment(config)
     trainer = ctx.trainer
     if start_method is not None:
@@ -67,10 +73,10 @@ def _train(config: ExperimentConfig, start_method: str | None = None):
     try:
         for epoch in range(config.train.epochs):
             losses.append(trainer.train_epoch(epoch))
-            apply_epoch_end(ctx, bist_rng, epoch, trainer)
             broadcast = getattr(trainer, "broadcast_epoch_end", None)
             if broadcast is not None:
                 broadcast(epoch)
+            apply_epoch_end(ctx, bist_rng, epoch, trainer)
         acc = trainer.evaluate()
         params = [p.data.copy() for p in trainer.optimizer.parameters]
         from repro.nn.layers import BatchNorm2d

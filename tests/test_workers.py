@@ -9,12 +9,16 @@ receive deadline, and raising.  Every case must end promptly, either in
 process and no shared-memory segment behind.  Below it, the same
 guarantees on the three users: a sweep whose parent is SIGKILLed, a
 replica, a two-replica server or a data-parallel start that fails
-partway, and a rank killed mid-epoch.
+partway, and a rank killed mid-epoch or while rank 0 waits for its eval
+share.
 
-One test runs every case in turn and checks after each that no child and
-no new segment remain; a failure names its case.
+One test runs every case in turn and checks after each that no child
+remains and that every segment the case created is gone (the parent
+creates every segment its workers map; other processes' segments do not
+count); a failure names its case.
 """
 
+import contextlib
 import json
 import multiprocessing as mp
 import os
@@ -25,10 +29,12 @@ import textwrap
 import threading
 import time
 from functools import partial
+from multiprocessing import shared_memory
 
 import pytest
 
 from repro.core.controller import build_experiment
+from repro.nn import parallel
 from repro.nn.parallel import WORKERS_ENV, DataParallelTrainer
 from repro.serve import InferenceServer, ServeConfig
 from repro.serve import replica as serve_replica
@@ -60,6 +66,24 @@ pytestmark = pytest.mark.skipif(
 
 def _segments() -> set[str]:
     return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
+
+
+@contextlib.contextmanager
+def _recording_segments():
+    """Yield the list of names of the segments this process creates
+    meanwhile (the parent creates every segment its workers map)."""
+    created: list[str] = []
+    real = shared_memory.SharedMemory
+
+    def record(*args, **kwargs):
+        shm = real(*args, **kwargs)
+        if kwargs.get("create"):
+            created.append(shm.name)
+        return shm
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shared_memory, "SharedMemory", record)
+        yield created
 
 
 def _config(seed: int = 11, **kw) -> ExperimentConfig:
@@ -206,12 +230,21 @@ def _wait_and_watch_see_only_the_death(method):
 # --------------------------------------------------------------------- #
 _SWEEP = textwrap.dedent("""
     import json, multiprocessing as mp, os, signal, sys
+    from multiprocessing import shared_memory
     from repro.runner import ExperimentCell, run_experiments
     from repro.utils.config import (
         ChipConfig, CrossbarConfig, ExperimentConfig, FaultConfig, TrainConfig)
 
-    def segments():
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    created = []
+    real = shared_memory.SharedMemory
+
+    def record(*args, **kwargs):
+        shm = real(*args, **kwargs)
+        if kwargs.get("create"):
+            created.append(shm.name)
+        return shm
+
+    shared_memory.SharedMemory = record
 
     def config(seed):
         return ExperimentConfig(
@@ -220,11 +253,9 @@ _SWEEP = textwrap.dedent("""
             chip=ChipConfig(crossbar=CrossbarConfig(rows=32, cols=32)),
             faults=FaultConfig(), policy="none", seed=seed)
 
-    before = segments()
-
     def die(_result):
-        print(json.dumps([sorted(segments() - before),
-                          [p.pid for p in mp.active_children()]]), flush=True)
+        print(json.dumps([created, [p.pid for p in mp.active_children()]]),
+              flush=True)
         os.kill(os.getpid(), signal.SIGKILL)
 
     run_experiments([ExperimentCell("a", config(41)),
@@ -337,16 +368,15 @@ def _replica_lost_before_registration(method):
     Both replicas are up by then: a spawn server maps one dataset export
     (4 arrays) for both, plus a transport segment each."""
     real = ProcessReplica.health
-    before = _segments()
     mapped: list[int] = []
 
     def health(replica):
         if replica.replica_id == 1:
-            mapped.append(len(_segments() - before))
+            mapped.append(len(set(created) & _segments()))
             replica.kill()
         return real(replica)
 
-    with pytest.MonkeyPatch.context() as patch:
+    with _recording_segments() as created, pytest.MonkeyPatch.context() as patch:
         patch.setattr(ProcessReplica, "health", health)
         with pytest.raises(ReplicaDied, match="replica 1"):
             _two_replica_server(method)
@@ -354,8 +384,6 @@ def _replica_lost_before_registration(method):
 
 
 def _dp_export_failure_releases_the_exchange_segment():
-    from multiprocessing import shared_memory
-
     created: list[str] = []
     real = shared_memory.SharedMemory
 
@@ -414,6 +442,40 @@ def _killed_rank_breaks_the_epoch():
     assert not [p for p in mp.active_children() if p.name.startswith("repro-dp-")]
 
 
+def _killed_rank_breaks_the_evaluation():
+    """SIGKILL rank 1 while rank 0 waits for its eval share: ``evaluate``
+    raises at once, not after the 600 s timeout.  The ranks fork with the
+    patched share, so rank 1 never replies before the kill, and rank 2's
+    reply is left unread in its pipe (four eval batches of 4 on 3 ranks)."""
+    trainer = build_experiment(_config(train=dict(
+        eval_batch=4, data_parallel=3, grad_shards=3,
+    ))).trainer
+    assert isinstance(trainer, DataParallelTrainer)
+    real_share = parallel._eval_share
+
+    def share(replica, rank, world):
+        if rank == 1:
+            time.sleep(60)
+        correct = real_share(replica, rank, world)
+        if rank == 0:
+            (rank1,) = [p for p in mp.active_children()
+                        if p.name == "repro-dp-1"]
+            os.kill(rank1.pid, signal.SIGKILL)
+        return correct
+
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "_eval_share", share)
+            trainer.train_epoch(0)
+            t0 = time.monotonic()
+            with pytest.raises(WorkerDied, match="exited with code -9"):
+                trainer.evaluate()
+            assert time.monotonic() - t0 < 10.0
+    finally:
+        trainer.shutdown()
+    assert not [p for p in mp.active_children() if p.name.startswith("repro-dp-")]
+
+
 def _cases():
     """``(label, case)`` pairs: the matrix per start method, then the users."""
     matrix = [
@@ -436,16 +498,19 @@ def _cases():
                   _dp_export_failure_releases_the_exchange_segment))
     if HAVE_FORK:
         cases.append(("dp rank killed mid-epoch", _killed_rank_breaks_the_epoch))
+        cases.append(("dp rank killed mid-eval",
+                      _killed_rank_breaks_the_evaluation))
     return cases
 
 
 def test_every_exit_path_leaves_nothing_behind(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     for label, case in _cases():
-        before = _segments()
         try:
-            case()
+            with _recording_segments() as created:
+                case()
             assert mp.active_children() == []
-            assert _segments() <= before
+            left = set(created) & _segments()
+            assert not left, left
         except (Exception, pytest.fail.Exception) as exc:
             raise AssertionError(f"case {label!r} failed") from exc
