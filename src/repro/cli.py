@@ -87,8 +87,7 @@ def _training_args(parser: argparse.ArgumentParser) -> None:
                              "'off' = the ideal-converter baseline)")
     parser.add_argument("--train-workers", type=int, default=0,
                         help="data-parallel training ranks (0 = single "
-                             "process; capped at --grad-shards; the "
-                             "REPRO_TRAIN_WORKERS env var overrides)")
+                             "process; at most --grad-shards)")
     parser.add_argument("--grad-shards", type=int, default=4,
                         help="micro-shards per batch for data-parallel "
                              "training; part of the numerical recipe, so "

@@ -28,7 +28,7 @@ from repro.nn.data import SyntheticDataset, cached_dataset
 from repro.nn.fault_aware import CrossbarEngine
 from repro.nn.layers import Module
 from repro.nn.models import build_model
-from repro.nn.parallel import DataParallelTrainer, resolve_train_workers
+from repro.nn.parallel import DataParallelTrainer
 from repro.fleet import ChipFleet, plan_placement
 from repro.nn.tensor import set_default_dtype
 from repro.nn.trainer import Trainer, TrainResult
@@ -203,15 +203,13 @@ def build_experiment(
         config.policy, config.policy_param, config.remap_threshold,
         **config.policy_kwargs,
     )
-    # ``data_parallel`` (or its REPRO_TRAIN_WORKERS override) routes
-    # training through the sharded SPMD trainer; its worker replicas run
-    # this very function, with the override neutralised, to reconstruct
-    # identical stacks in their own processes.
-    workers = resolve_train_workers(tc)
-    if workers > 0:
+    # ``data_parallel`` routes training through the sharded SPMD trainer;
+    # its worker replicas run this very function, with ``data_parallel``
+    # set to 0, to reconstruct identical stacks in their own processes.
+    if tc.data_parallel > 0:
         trainer = DataParallelTrainer(
             model, dataset, tc, hub.stream("train"), telemetry=tel,
-            experiment=config, world=workers,
+            experiment=config, world=tc.data_parallel,
         )
     else:
         trainer = Trainer(model, dataset, tc, hub.stream("train"), telemetry=tel)

@@ -374,10 +374,6 @@ class CrossbarEngine:
     # its calibrated scales after running shard 0; peers import them
     # before clamping their own shards (repro.nn.parallel).
 
-    def grad_scale_count(self) -> int:
-        """Total per-block gradient-scale entries across backward copies."""
-        return sum(bwd.grad_scales.size for _, bwd in self.copies.values())
-
     def grad_scales_stale(self) -> bool:
         """True when any backward copy awaits gradient-scale calibration."""
         if not self.faults_enabled:
@@ -387,13 +383,13 @@ class CrossbarEngine:
             for _, bwd in self.copies.values()
         )
 
-    def export_grad_scales(self, out: np.ndarray) -> None:
-        """Pack every backward copy's gradient scales into ``out`` (flat)."""
-        i = 0
-        for _, bwd in self.copies.values():
-            n = bwd.grad_scales.size
-            out[i : i + n] = bwd.grad_scales.ravel()
-            i += n
+    def export_grad_scales(self) -> np.ndarray:
+        """Every backward copy's gradient scales, packed into one flat
+        float64 array."""
+        return np.concatenate(
+            [bwd.grad_scales.ravel() for _, bwd in self.copies.values()],
+            dtype=np.float64,
+        )
 
     def import_grad_scales(self, flat: np.ndarray) -> None:
         """Adopt gradient scales previously packed by :meth:`export_grad_scales`."""
@@ -414,6 +410,3 @@ class CrossbarEngine:
         for fwd, bwd in self.copies.values():
             out.extend((fwd, bwd))
         return out
-
-    def pairs_in_use(self) -> int:
-        return sum(m.num_blocks for m in self.all_mappings())

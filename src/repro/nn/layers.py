@@ -40,11 +40,11 @@ __all__ = [
 class Parameter:
     """A trainable array with an accumulated gradient.
 
-    ``version`` counts in-place writes to ``data``.  Every framework-side
-    write (``SGD.step``, the engine's in-situ range clip) calls
-    :meth:`bump_version`; caches of values derived from the weights (the
-    crossbar engine's effective-weight cache) key on it.  Code outside the
-    framework that mutates ``data`` directly must bump it too.
+    ``version`` counts in-place writes to ``data``.  The framework's one
+    write, ``SGD.step``, calls :meth:`bump_version`; caches of values
+    derived from the weights (the crossbar engine's effective-weight
+    cache) key on it.  Code outside the framework that mutates ``data``
+    directly must bump it too.
     """
 
     def __init__(self, data: np.ndarray):

@@ -225,7 +225,6 @@ def _replica_main(conn, tel, replica_id, config, max_batch, shm_name):
     replies with the chip's fault version.  Everything else is tiny
     dicts; ``("stop",)`` returns the final telemetry snapshot.
     """
-    os.environ["REPRO_TRAIN_WORKERS"] = "0"
     shm = in_view = out_view = None
     try:
         core = ReplicaCore(

@@ -224,7 +224,6 @@ class TrainConfig:
     #: micro-shards distributed round-robin over the workers and the
     #: gradients all-reduced, so results depend on ``grad_shards`` but
     #: NOT on the worker count — any N gives the 1-worker bits.
-    #: Overridable at run time via ``REPRO_TRAIN_WORKERS``.
     data_parallel: int = 0
     #: fixed micro-shard count per batch for data-parallel training.
     #: Part of the numerical recipe (per-shard batch-norm statistics and

@@ -2,12 +2,14 @@
 
 Sweep cells (:mod:`repro.runner`), serve replicas (:mod:`repro.serve`)
 and data-parallel ranks (:mod:`repro.nn.parallel`) run in workers of
-this module; each user keeps only its policy (retries, requeue, barrier
-abort).  A :class:`WorkerGroup` picks the start method (``fork`` where
-available, else ``spawn``) and owns every shared-memory segment its
-workers map, released on every exit path, a failed start included.  A
-:class:`Worker`'s receive waits on the pipe and the process sentinel
-under a deadline and raises one :class:`WorkerDied`.  The child first
+this module; each user keeps only its policy (retries, requeue, killing
+the other ranks).  A :class:`WorkerGroup` picks the start method
+(``fork`` where available, else ``spawn``) and owns every shared-memory
+segment its workers map, released on every exit path, a failed start
+included.  A :class:`Worker`'s receive (and :func:`wait`, over many
+workers) waits on the pipe and the process sentinel under a deadline,
+and the receive raises one :class:`WorkerDied`; no user detects a death
+any other way.  The child first
 attaches the live stream and the flight recorder under its ``source``
 (so a worker SIGKILLed at once still leaves a flight dump; a worker
 started without one, a sweep worker, attaches them per cell), then pins
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import threading
 from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
@@ -42,7 +43,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.live import attach_worker_live
 from repro.utils.blas import set_blas_threads
 
-__all__ = ["Worker", "WorkerDied", "WorkerGroup", "attach", "wait", "watch"]
+__all__ = ["Worker", "WorkerDied", "WorkerGroup", "attach", "wait"]
 
 
 class WorkerDied(RuntimeError):
@@ -169,8 +170,6 @@ class Worker:
 
     def __init__(self, ctx, target: Callable, args: tuple, source: str | None,
                  datasets, name: str | None = None):
-        #: set once a stop was requested: :func:`watch` ignores the exit.
-        self.stopping = False
         self.closed = False
         self.conn, child = ctx.Pipe()
         inherited = self.conn if ctx.get_start_method() == "fork" else None
@@ -231,7 +230,6 @@ class Worker:
         return self._collect(timeout)
 
     def _request_stop(self, message: Any) -> None:
-        self.stopping = True  # before the send: the worker may exit at once
         if self.proc.is_alive():
             try:
                 self.send(message)
@@ -268,25 +266,6 @@ def wait(workers: Sequence[Worker], timeout: float | None = None) -> list[Worker
     handles = [h for w in workers for h in (w.conn, w.proc.sentinel)]
     ready = set(mp_connection.wait(handles, timeout))
     return [w for w in workers if w.conn in ready or w.proc.sentinel in ready]
-
-
-def watch(workers: Sequence[Worker],
-          on_death: Callable[[Worker], None]) -> threading.Thread:
-    """Call ``on_death(worker)`` from a daemon thread when a worker exits
-    before it was stopped; the thread ends once every worker has exited."""
-    pending = {w.proc.sentinel: w for w in workers}
-
-    def run() -> None:
-        while pending:
-            for sentinel in mp_connection.wait(list(pending)):
-                worker = pending.pop(sentinel)
-                if not worker.stopping:
-                    on_death(worker)
-                    return
-
-    thread = threading.Thread(target=run, daemon=True, name="repro-worker-watch")
-    thread.start()
-    return thread
 
 
 # --------------------------------------------------------------------- #
@@ -340,13 +319,18 @@ class WorkerGroup:
             worker._request_stop(message)
         return [worker._collect(timeout) for worker in workers]
 
-    def close(self) -> None:
-        """Kill the workers still running, reap them, release every
-        segment.  Idempotent."""
+    def kill(self) -> None:
+        """Kill the workers still running and reap them; the segments
+        stay until :meth:`close`.  Idempotent."""
         for worker in self.workers:
             if not worker.closed:
                 worker.kill()
                 worker.close()
         self.workers = []
+
+    def close(self) -> None:
+        """Kill the workers still running, reap them, release every
+        segment.  Idempotent."""
+        self.kill()
         _release_segments(self._segments)
         self._segments = []

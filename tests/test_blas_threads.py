@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.controller import build_experiment
-from repro.nn.parallel import WORKERS_ENV, DataParallelTrainer
+from repro.nn.parallel import DataParallelTrainer
 from repro.workers import _init_worker
 from repro.serve.replica import ProcessReplica
 from repro.utils import blas
@@ -52,7 +52,6 @@ needs_openblas = pytest.mark.skipif(
 def _clean_env(monkeypatch):
     # Start from the variables unset, so a value an earlier test leaked
     # cannot hide a leak from the run under test.
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     for name in THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
 

@@ -801,29 +801,28 @@ class TestGradScaleReplication:
     def test_stale_until_first_backward_then_exportable(self):
         ctx = build_experiment(_config(epochs=1))
         engine = ctx.engine
-        count = engine.grad_scale_count()
+        out = engine.export_grad_scales()
+        assert out.ndim == 1 and out.dtype == np.float64
+        count = out.size
         assert count > 0
         assert engine.grad_scales_stale()
-        out = np.empty(count)
-        engine.export_grad_scales(out)
         assert np.isnan(out).any()
         ctx.trainer.train_epoch(0)
         assert not engine.grad_scales_stale()
-        engine.export_grad_scales(out)
+        out = engine.export_grad_scales()
+        assert out.size == count
         assert np.isfinite(out).all()
 
     def test_import_adopts_calibrated_scales(self):
         cfg = _config(epochs=1)
         src = build_experiment(cfg)
         src.trainer.train_epoch(0)
-        scales = np.empty(src.engine.grad_scale_count())
-        src.engine.export_grad_scales(scales)
+        scales = src.engine.export_grad_scales()
         dst = build_experiment(cfg)
         assert dst.engine.grad_scales_stale()
         dst.engine.import_grad_scales(scales)
         assert not dst.engine.grad_scales_stale()
-        back = np.empty_like(scales)
-        dst.engine.export_grad_scales(back)
+        back = dst.engine.export_grad_scales()
         np.testing.assert_array_equal(scales, back)
 
     def test_never_stale_without_faults(self):

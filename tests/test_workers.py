@@ -9,13 +9,15 @@ receive deadline, and raising.  Every case must end promptly, either in
 process and no shared-memory segment behind.  Below it, the same
 guarantees on the three users: a sweep whose parent is SIGKILLed, a
 replica, a two-replica server or a data-parallel start that fails
-partway, and a rank killed mid-epoch or while rank 0 waits for its eval
-share.
+partway, a rank killed mid-epoch, inside an exchange or while rank 0
+waits for its eval share (each raises ``WorkerDied``), and rank 0 failing
+mid-epoch.
 
 One test runs every case in turn and checks after each that no child
-remains and that every segment the case created is gone (the parent
+remains, that every segment the case created is gone (the parent
 creates every segment its workers map; other processes' segments do not
-count); a failure names its case.
+count) and that nothing raised in a finaliser (a segment released under
+a live view does); a failure names its case.
 """
 
 import contextlib
@@ -26,7 +28,6 @@ import signal
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 from functools import partial
 from multiprocessing import shared_memory
@@ -35,7 +36,7 @@ import pytest
 
 from repro.core.controller import build_experiment
 from repro.nn import parallel
-from repro.nn.parallel import WORKERS_ENV, DataParallelTrainer
+from repro.nn.parallel import DataParallelTrainer
 from repro.serve import InferenceServer, ServeConfig
 from repro.serve import replica as serve_replica
 from repro.serve.replica import ProcessReplica, ReplicaDied
@@ -46,7 +47,7 @@ from repro.utils.config import (
     FaultConfig,
     TrainConfig,
 )
-from repro.workers import WorkerDied, WorkerGroup, attach, wait, watch
+from repro.workers import WorkerDied, WorkerGroup, attach, wait
 
 START_METHODS = [m for m in ("fork", "spawn") if m in mp.get_all_start_methods()]
 HAVE_FORK = "fork" in mp.get_all_start_methods()
@@ -66,6 +67,20 @@ pytestmark = pytest.mark.skipif(
 
 def _segments() -> set[str]:
     return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
+
+
+@contextlib.contextmanager
+def _recording_unraisable():
+    """Yield the list of exceptions raised meanwhile where Python cannot
+    raise them (finalisers), as ``"Type: message"`` strings."""
+    seen: list[str] = []
+
+    def record(args):
+        seen.append(f"{args.exc_type.__name__}: {args.exc_value}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "unraisablehook", record)
+        yield seen
 
 
 @contextlib.contextmanager
@@ -202,27 +217,18 @@ def _raise_in_the_child(method):
     _run_toy(method, "raise", drive)
 
 
-def _wait_and_watch_see_only_the_death(method):
+def _wait_sees_only_the_death(method):
     group, name, worker = _start_toy(method, "kill-mid-reply")
     peer = group.start(_toy, None, name, source="peer", name="repro-peer")
-    deaths: list = []
-    stops: list = []
     try:
         for w in (worker, peer):
             w.recv(DEADLINE)
-        on_death = watch([worker], deaths.append)
-        on_stop = watch([peer], stops.append)
         assert wait([worker, peer], timeout=0.2) == []
         worker.send("ping")
         assert wait([worker, peer], timeout=DEADLINE) == [worker]
-        on_death.join(DEADLINE)
         assert peer.stop(timeout=DEADLINE) == "stopped"
-        on_stop.join(DEADLINE)
     finally:
         group.close()
-    assert deaths == [worker]
-    assert stops == []  # a stopped worker's exit is not a death
-    assert not on_death.is_alive() and not on_stop.is_alive()
 
 
 # --------------------------------------------------------------------- #
@@ -413,13 +419,21 @@ def _dp_export_failure_releases_the_exchange_segment():
             attach(name)
 
 
-def _killed_rank_breaks_the_epoch():
-    """SIGKILL rank 1 mid-epoch while rank 0 heads for a barrier: the
-    epoch raises at once, not after the 600 s barrier timeout."""
+def _two_rank_trainer() -> DataParallelTrainer:
+    """Two ranks, four shards, three batches; the first batch calibrates
+    the gradient ADC scales, so rank 0 runs shard 0 while rank 1 waits
+    for its release."""
     trainer = build_experiment(
         _config(train=dict(n_train=48, data_parallel=2, grad_shards=4))
     ).trainer
     assert isinstance(trainer, DataParallelTrainer)
+    return trainer
+
+
+def _killed_rank_breaks_the_epoch():
+    """SIGKILL rank 1 mid-epoch while rank 0 heads for an exchange: the
+    epoch raises at once, not after the 600 s exchange deadline."""
+    trainer = _two_rank_trainer()
     real_step = trainer.optimizer.step
     steps = []
 
@@ -433,13 +447,71 @@ def _killed_rank_breaks_the_epoch():
     trainer.optimizer.step = step
     t0 = time.monotonic()
     try:
-        with pytest.raises(threading.BrokenBarrierError):
+        with pytest.raises(WorkerDied):
             trainer.train_epoch(0)
         assert time.monotonic() - t0 < 10.0
     finally:
         trainer.shutdown()
     assert len(steps) == 2
     assert not [p for p in mp.active_children() if p.name.startswith("repro-dp-")]
+
+
+def _killed_rank_inside_the_exchange():
+    """SIGKILL rank 1 while it waits inside an exchange: rank 0 holds its
+    first shard until rank 1's arrival is in the pipe, then kills it.
+    Rank 0's next exchange raises at once; a rank killed inside a shared
+    ``multiprocessing.Barrier`` used to hang rank 0 for good."""
+    trainer = _two_rank_trainer()
+    real_zero_grad = trainer.optimizer.zero_grad
+    kills = []
+
+    def zero_grad():
+        if not kills:
+            (rank1,) = trainer._group.workers
+            assert rank1.conn.poll(DEADLINE), "rank 1 never arrived"
+            rank1.kill()
+            kills.append(rank1.proc.exitcode)
+        real_zero_grad()
+
+    trainer.optimizer.zero_grad = zero_grad
+    t0 = time.monotonic()
+    with pytest.raises(WorkerDied):
+        try:
+            trainer.train_epoch(0)
+        finally:
+            # As in ``run_experiment``: shut down while the error propagates.
+            raised_s = time.monotonic() - t0
+            trainer.shutdown()
+    assert raised_s < 10.0
+    assert kills == [-signal.SIGKILL]
+
+
+def _rank0_failure_kills_the_ranks():
+    """Rank 0 raises in its second shard while rank 1 waits for the
+    release: the epoch re-raises rank 0's error, and ``shutdown``, run
+    while it propagates, neither waits out the stop deadline on a rank
+    still inside the exchange nor releases the segment under a live view
+    of the failed shard."""
+    trainer = _two_rank_trainer()
+    real_zero_grad = trainer.optimizer.zero_grad
+    calls = []
+
+    def zero_grad():
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("rank 0 failed")
+        real_zero_grad()
+
+    trainer.optimizer.zero_grad = zero_grad
+    with pytest.raises(RuntimeError, match="rank 0 failed"):
+        try:
+            trainer.train_epoch(0)
+        finally:
+            t0 = time.monotonic()
+            trainer.shutdown()
+            shutdown_s = time.monotonic() - t0
+    assert shutdown_s < 5.0
+    assert len(calls) == 2
 
 
 def _killed_rank_breaks_the_evaluation():
@@ -485,7 +557,7 @@ def _cases():
         ("SIGKILL after stop is sent", _sigkill_after_stop_is_sent),
         ("hang past the receive deadline", _hang_past_the_receive_deadline),
         ("raise in the child", _raise_in_the_child),
-        ("wait and watch see only the death", _wait_and_watch_see_only_the_death),
+        ("wait sees only the death", _wait_sees_only_the_death),
         ("killed sweep", _killed_sweep_leaves_nothing_behind),
         ("replica build failure", _replica_build_failure_releases_everything),
         ("second replica start raises", _second_replica_start_raises),
@@ -498,19 +570,23 @@ def _cases():
                   _dp_export_failure_releases_the_exchange_segment))
     if HAVE_FORK:
         cases.append(("dp rank killed mid-epoch", _killed_rank_breaks_the_epoch))
+        cases.append(("dp rank killed inside the exchange",
+                      _killed_rank_inside_the_exchange))
+        cases.append(("rank 0 fails mid-epoch", _rank0_failure_kills_the_ranks))
         cases.append(("dp rank killed mid-eval",
                       _killed_rank_breaks_the_evaluation))
     return cases
 
 
-def test_every_exit_path_leaves_nothing_behind(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
+def test_every_exit_path_leaves_nothing_behind():
     for label, case in _cases():
         try:
-            with _recording_segments() as created:
+            with _recording_unraisable() as unraisable, \
+                    _recording_segments() as created:
                 case()
             assert mp.active_children() == []
             left = set(created) & _segments()
             assert not left, left
+            assert not unraisable, unraisable
         except (Exception, pytest.fail.Exception) as exc:
             raise AssertionError(f"case {label!r} failed") from exc
