@@ -204,12 +204,12 @@ def build_experiment(
         **config.policy_kwargs,
     )
     # ``data_parallel`` routes training through the sharded SPMD trainer;
-    # its worker replicas run this very function, with ``data_parallel``
-    # set to 0, to reconstruct identical stacks in their own processes.
+    # its worker ranks run this very function on the same config to build
+    # identical stacks, and the same trainer, in their own processes.
     if tc.data_parallel > 0:
         trainer = DataParallelTrainer(
             model, dataset, tc, hub.stream("train"), telemetry=tel,
-            experiment=config, world=tc.data_parallel,
+            experiment=config,
         )
     else:
         trainer = Trainer(model, dataset, tc, hub.stream("train"), telemetry=tel)

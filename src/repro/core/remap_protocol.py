@@ -94,7 +94,6 @@ class RemapProtocol:
         chip: Chip,
         threshold: float = 0.002,
         phase_priority: bool = True,
-        require_lower_density: bool = True,
         receiver_rule: str = "nearest",
         rng: np.random.Generator | None = None,
     ):
@@ -105,7 +104,6 @@ class RemapProtocol:
         self.chip = chip
         self.threshold = threshold
         self.phase_priority = phase_priority
-        self.require_lower_density = require_lower_density
         self.receiver_rule = receiver_rule
         self.rng = rng or np.random.default_rng(0)
 
@@ -161,9 +159,9 @@ class RemapProtocol:
         for i in senders:
             s_density = float(density[i])
             s_tile = chip.tile_of_pair(int(pairs[i]))
-            ok = available.copy()
-            if self.require_lower_density:
-                ok &= ~(r_density >= s_density)
+            # A receiver's pair is less faulty than the sender's (Fig. 3,
+            # step 2).
+            ok = available & ~(r_density >= s_density)
             if self.phase_priority:
                 ok &= r_rank > ranks[i]
             # Hysteresis: prefer receivers *below the trigger threshold* so

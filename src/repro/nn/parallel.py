@@ -18,17 +18,23 @@ shard-size-weighted mean of the per-shard losses.  The contract is
 *worker-count invariance*, not equivalence with single-process
 full-batch training.
 
-Workers are persistent SPMD processes of :mod:`repro.workers`, driven
-over their pipe by four commands:
+Every rank runs the one batch loop of :class:`~repro.nn.trainer.Trainer`;
+:class:`DataParallelTrainer` supplies only the batch gradient (its
+:meth:`~DataParallelTrainer.batch_gradients`: the rank's own shards,
+then the all-reduce).  Workers are persistent SPMD processes of
+:mod:`repro.workers`, each building the same :class:`DataParallelTrainer`
+from the same experiment config and joining the exchange with its pipe
+end, driven over that pipe by four commands:
 
-- ``("epoch", e)`` runs one sharded epoch;
+- ``("epoch", e)`` runs ``train_epoch(e)``, the epoch rank 0 runs;
 - ``("hook", e)`` replays the controller's end-of-epoch transition
   (fault injection, BIST, policy remap) on the worker's replica.  The
   controller sends it *before* rank 0 applies the same transition, so
   the ranks replay it while rank 0 applies it; the pipe still delivers
   it ahead of the next command;
-- ``("eval",)`` scores the worker's share of the test split and replies
-  with its count of correct predictions.  Eval batch ``k`` (at
+- ``("eval",)`` replies with the worker's
+  :meth:`~repro.nn.trainer.Trainer.correct_share` of the test split:
+  eval batch ``k`` (at
   :meth:`~repro.nn.trainer.Trainer.eval_batch_size`) runs on rank
   ``k % world``; rank 0 scores its own share, adds the workers' counts
   and divides by the split's size.  Each batch's logits come from the
@@ -42,8 +48,9 @@ which on a calibration batch carries the gradient ADC scales.  So a rank
 that dies anywhere, mid-shard, inside an exchange or while rank 0 waits
 for its eval share, raises :class:`~repro.workers.WorkerDied` in rank 0
 at once, and a failure on either side kills the ranks rather than leave
-them waiting.  Replicas are rebuilt from the experiment config in each
-worker, so determinism rests on the named RNG streams of
+them waiting.  Each worker builds its replica from the experiment
+config with :func:`~repro.core.controller.build_experiment`, rank 0's
+own build, so determinism rests on the named RNG streams of
 :class:`repro.utils.rng.RngHub` — every rank derives the same
 ``train``/``faults``/``bist`` streams and consumes them identically.
 """
@@ -53,14 +60,12 @@ from __future__ import annotations
 import contextlib
 import time
 import traceback
-from dataclasses import replace
 
 import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.layers import BatchNorm2d, Module
-from repro.nn.optim import cosine_lr
-from repro.nn.tensor import Tensor, step_arena, step_scope
+from repro.nn.tensor import Tensor, step_arena
 from repro.nn.data import SyntheticDataset
 from repro.nn.trainer import Trainer
 from repro.telemetry import Telemetry
@@ -72,7 +77,7 @@ __all__ = ["DataParallelTrainer"]
 #: generous deadline for a rank's arrival at an exchange or its eval
 #: share: a rank that dies raises at once, so this only fires on a
 #: silently-hung worker.
-_BARRIER_TIMEOUT = 600.0
+_EXCHANGE_TIMEOUT = 600.0
 
 
 # --------------------------------------------------------------------- #
@@ -162,18 +167,16 @@ class _ShardComm:
     handles; a worker rank holds ``conn``, its end of the pipe to rank 0.
     """
 
-    __slots__ = ("rank", "world", "shards", "slots", "bn_mods", "engine",
-                 "tel", "conn", "workers")
+    __slots__ = ("rank", "world", "slots", "bn_mods", "engine", "conn",
+                 "workers")
 
-    def __init__(self, rank, world, shards, slots, bn_mods, engine, tel,
-                 conn=None, workers=()):
+    def __init__(self, rank, world, slots, bn_mods, engine, conn=None,
+                 workers=()):
         self.rank = rank
         self.world = world
-        self.shards = shards
         self.slots = slots
         self.bn_mods = bn_mods
         self.engine = engine
-        self.tel = tel
         self.conn = conn
         self.workers = workers
 
@@ -190,158 +193,10 @@ class _ShardComm:
             self.conn.send(None)
             return self.conn.recv()
         for worker in self.workers:
-            worker.recv(_BARRIER_TIMEOUT)
+            worker.recv(_EXCHANGE_TIMEOUT)
         for worker in self.workers:
             worker.send(payload)
         return payload
-
-
-# --------------------------------------------------------------------- #
-# the SPMD epoch body (executed by every rank, including rank 0)
-# --------------------------------------------------------------------- #
-def _run_sharded_epoch(trainer: Trainer, comm: _ShardComm, epoch: int) -> float:
-    """One data-parallel pass over the training set; returns the loss.
-
-    Every rank runs this function over the *same* shuffled order (all
-    ranks share the ``train`` RNG stream state), computes only the shards
-    it owns, then reduces all shards' results identically — so the
-    returned loss and the post-epoch weights are the same on every rank.
-    """
-    cfg = trainer.config
-    model = trainer.model
-    model.train()
-    trainer.optimizer.lr = cosine_lr(
-        cfg.lr, epoch, cfg.epochs, cfg.lr_final_fraction
-    )
-    x, y = trainer.dataset.x_train, trainer.dataset.y_train
-    order = trainer.rng.permutation(len(y))
-    tel = comm.tel
-    profiling = tel.enabled and tel.profile
-    params = trainer.optimizer.parameters
-    bn_mods = comm.bn_mods
-    shards = comm.shards
-    total_loss = 0.0
-    total_n = 0
-    # Per-forward batch-norm statistics, keyed by module identity: the
-    # sink collects them in execution order, the shard publish and the
-    # replay both walk ``named_modules`` order.
-    batch_stats: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def stats_sink(module, mean, var):
-        batch_stats[id(module)] = (mean, var)
-
-    for m in bn_mods:
-        m.stats_sink = stats_sink
-    arena = step_arena()
-
-    # ``run_shard`` gets its slot as an argument rather than closing over
-    # ``comm``: a failed shard's frame, kept by the traceback, then holds
-    # no view into the slots once its locals are cleared.
-    def run_shard(slot, lo, hi, idx, nb):
-        xb = Tensor(x[idx[lo:hi]], requires_grad=True)
-        xb.skip_grad = True
-        batch_stats.clear()
-        logits = model(xb)
-        loss = F.softmax_cross_entropy(logits, y[idx[lo:hi]])
-        trainer.optimizer.zero_grad()
-        # Seeding with the shard's batch fraction makes the reduced
-        # gradient the exact gradient of the shard-size-weighted batch
-        # loss.
-        loss.backward(float(hi - lo) / nb)
-        for p, view in zip(params, slot.grads):
-            np.copyto(view, p.grad)
-        for m, (mv, vv) in zip(bn_mods, slot.stats):
-            mean, var = batch_stats[id(m)]
-            np.copyto(mv, mean)
-            np.copyto(vv, var)
-        slot.loss[0] = float(loss.data)
-        arena.reset()
-
-    try:
-        with step_scope():
-            for start in range(0, len(y), cfg.batch_size):
-                t_step = time.perf_counter() if profiling else 0.0
-                idx = order[start : start + cfg.batch_size]
-                nb = len(idx)
-                bounds = _shard_bounds(nb, shards)
-                first = 0
-                if (
-                    comm.world > 1
-                    and comm.engine is not None
-                    and comm.engine.grad_scales_stale()
-                ):
-                    # The gradient ADC ranges calibrate lazily from the
-                    # first gradient each (re)written block sees; the
-                    # canonical first gradient is shard 0's.  Rank 0 runs
-                    # shard 0 alone and releases the calibrated scales;
-                    # peers adopt them before clamping their own shards.
-                    # Staleness is replica-identical (remaps replay on
-                    # every rank), so all ranks take this branch together.
-                    if comm.rank == 0:
-                        lo, hi = bounds[0]
-                        run_shard(comm.slots[0], lo, hi, idx, nb)
-                        first = 1
-                        comm.exchange(comm.engine.export_grad_scales())
-                    else:
-                        comm.engine.import_grad_scales(comm.exchange())
-                for s in range(first, shards):
-                    lo, hi = bounds[s]
-                    if hi <= lo or s % comm.world != comm.rank:
-                        continue
-                    run_shard(comm.slots[s], lo, hi, idx, nb)
-                comm.exchange()
-                # All-reduce: every rank folds every shard's published
-                # results in ascending shard order — identical float
-                # operations, hence identical replicas, on all ranks.
-                t_red = time.perf_counter() if profiling else 0.0
-                live = [s for s, (lo, hi) in enumerate(bounds) if hi > lo]
-                for p, view in zip(params, comm.slots[live[0]].grads):
-                    np.copyto(p.grad, view)
-                for s in live[1:]:
-                    for p, view in zip(params, comm.slots[s].grads):
-                        p.grad += view
-                for s in live:
-                    for m, (mv, vv) in zip(bn_mods, comm.slots[s].stats):
-                        m.running_mean += m.momentum * (mv - m.running_mean)
-                        m.running_var += m.momentum * (vv - m.running_var)
-                batch_loss = 0.0
-                for s, (lo, hi) in enumerate(bounds):
-                    if hi > lo:
-                        batch_loss += float(comm.slots[s].loss[0]) * (hi - lo)
-                batch_loss /= nb
-                if profiling:
-                    tel.observe(
-                        "train.allreduce_seconds", time.perf_counter() - t_red
-                    )
-                comm.exchange()
-                # The step touches only rank-local state, so it runs
-                # after the exchange releases the shard slots.
-                trainer.optimizer.step()
-                if trainer.post_step is not None:
-                    trainer.post_step()
-                arena.reset()
-                total_loss += batch_loss * nb
-                total_n += nb
-                if profiling:
-                    tel.observe(
-                        "train.step_seconds", time.perf_counter() - t_step
-                    )
-    finally:
-        for m in bn_mods:
-            m.stats_sink = None
-    return total_loss / total_n
-
-
-def _eval_share(trainer: Trainer, rank: int, world: int) -> int:
-    """Correct predictions of the eval batches rank ``rank`` owns: batch
-    ``k`` of the test split, at the trainer's eval batch size, runs on
-    rank ``k % world``."""
-    x, y = trainer.dataset.x_test, trainer.dataset.y_test
-    b = trainer.eval_batch_size()
-    return sum(
-        trainer.count_correct(x[lo : lo + b], y[lo : lo + b])
-        for lo in range(rank * b, len(y), world * b)
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -350,42 +205,36 @@ def _eval_share(trainer: Trainer, rank: int, world: int) -> int:
 def _rank_main(conn, sink, rank, world, experiment, shm_name, profile):
     """Persistent SPMD worker: replica build + command loop.
 
-    The replica is rebuilt from the experiment config (datasets arrive
-    via fork copy-on-write or the parent's shared-memory export), with
-    ``data_parallel`` forced to 0 so the replica's trainer is a plain
-    :class:`Trainer` — this function drives the sharded epochs itself.
-    ``sink`` carries the worker-side dp metrics back (the replica's own
-    sink is off: rank 0 already records its fault/BIST/policy events).
-    A failure ends the process, which rank 0 sees at its next receive.
+    The replica is built from the experiment config as rank 0's was
+    (datasets arrive via fork copy-on-write or the parent's shared-memory
+    export), so its trainer is a :class:`DataParallelTrainer` too; it
+    joins the exchange as rank ``rank`` instead of starting ranks.
+    ``sink`` becomes the trainer's telemetry and carries the worker-side
+    dp metrics back (the replica's own sink is off: rank 0 already
+    records its fault/BIST/policy events).  A failure ends the process,
+    which rank 0 sees at its next receive.
     """
     from repro.core.controller import apply_epoch_end, build_experiment
     from repro.workers import attach
 
     sink.profile = bool(profile)
-    shm = comm = slots = None
+    shm = trainer = None
     try:
-        cfg = replace(
-            experiment, train=replace(experiment.train, data_parallel=0)
-        )
-        ctx = build_experiment(cfg, telemetry=Telemetry(enabled=False))
+        ctx = build_experiment(experiment, telemetry=Telemetry(enabled=False))
         trainer = ctx.trainer
+        trainer.telemetry = sink
         bist_rng = ctx.rng_hub.stream("bist")
         shm = attach(shm_name)
-        params = trainer.optimizer.parameters
-        bn_mods = _bn_modules(trainer.model)
-        shards = cfg.train.grad_shards
-        slots = _carve_slots(shm.buf, params, bn_mods, shards)
-        comm = _ShardComm(rank, world, shards, slots, bn_mods, ctx.engine,
-                          sink, conn=conn)
+        trainer._join(rank, world, shm.buf, conn=conn)
         while True:
             cmd = conn.recv()
             if cmd[0] == "epoch":
-                _run_sharded_epoch(trainer, comm, cmd[1])
+                trainer.train_epoch(cmd[1])
                 sink.count("dp.worker_epochs")
             elif cmd[0] == "hook":
                 apply_epoch_end(ctx, bist_rng, cmd[1], trainer)
             elif cmd[0] == "eval":
-                conn.send(_eval_share(trainer, rank, world))
+                conn.send(trainer.correct_share(rank, world))
                 sink.count("dp.worker_evals")
             elif cmd[0] == "stop":
                 return sink.snapshot()
@@ -394,7 +243,8 @@ def _rank_main(conn, sink, rank, world, experiment, shm_name, profile):
     finally:
         # Slot views alias shm.buf; drop them before closing the segment
         # (exported pointers keep the mapping pinned otherwise).
-        comm = slots = None  # noqa: F841
+        if trainer is not None:
+            trainer.shutdown()
         if shm is not None:
             try:
                 shm.close()
@@ -403,33 +253,31 @@ def _rank_main(conn, sink, rank, world, experiment, shm_name, profile):
 
 
 # --------------------------------------------------------------------- #
-# rank-0 trainer
+# the trainer every rank runs
 # --------------------------------------------------------------------- #
 class DataParallelTrainer(Trainer):
     """Drop-in trainer executing each batch as sharded SPMD ranks.
 
-    Rank 0 is this process; ranks 1..world-1 are persistent worker
-    processes started lazily on the first ``train_epoch`` call.  The
-    ``world`` argument is the *requested* rank count; it degrades to 1
-    (in-process sharded execution, same numerics) when the engine's
-    analog stack is *stochastic* — its per-read RNG draws cannot be kept
-    in lockstep across processes (drift and the other deterministic
-    ``repro.analog`` layers parallelise fine) — or when this process is
-    itself a daemon worker (the benchmark runner's pool) and may not
-    spawn children.
+    Rank 0 is the process that builds it from the experiment; ranks
+    1..world-1 are persistent worker processes started lazily on its
+    first ``train_epoch`` call, each running this same trainer, joined
+    to the exchange by :meth:`_join`.  ``TrainConfig.data_parallel`` is
+    the *requested* rank count; it degrades to 1 (in-process sharded
+    execution, same numerics) when the engine's analog stack is
+    *stochastic* — its per-read RNG draws cannot be kept in lockstep
+    across processes (drift and the other deterministic ``repro.analog``
+    layers parallelise fine) — or when this process is itself a daemon
+    worker (the benchmark runner's pool) and may not spawn children.
 
     ``experiment`` is the full :class:`ExperimentConfig` the workers
-    rebuild their replicas from; without it multi-process execution is
-    impossible and the trainer silently runs ``world=1``.
+    build their replicas from.
     """
 
     def __init__(self, model, dataset: SyntheticDataset, config: TrainConfig,
-                 rng=None, telemetry=None, experiment=None, world=None):
+                 rng=None, telemetry=None, *, experiment):
         super().__init__(model, dataset, config, rng, telemetry)
         self.experiment = experiment
-        self.requested_world = world if world is not None else max(
-            1, config.data_parallel
-        )
+        self.requested_world = max(1, config.data_parallel)
         #: multiprocessing start method for the workers; None picks
         #: ``fork`` when available (cheap replica construction on Linux)
         #: with a ``spawn`` fallback.  Settable before the first epoch —
@@ -444,6 +292,10 @@ class DataParallelTrainer(Trainer):
         self._comm: _ShardComm | None = None
         #: the caller's BLAS thread count while rank 0 runs on one
         self._thread_limit = None
+        #: the current shard's batch-norm statistics by module identity:
+        #: the epoch's stats sink collects them in execution order, the
+        #: shard publish walks ``named_modules`` order.
+        self._batch_stats: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     def _resolve_world(self) -> int:
@@ -455,9 +307,7 @@ class DataParallelTrainer(Trainer):
         reason = None
         engine = _find_engine(self.model)
         analog = engine.analog if engine is not None else None
-        if self.experiment is None:
-            reason = "no experiment config"
-        elif analog is not None and analog.stochastic:
+        if analog is not None and analog.stochastic:
             # Only the per-read terms force the fallback: the other layers
             # are deterministic per epoch and are replayed identically by
             # every replica's epoch transition.
@@ -478,44 +328,47 @@ class DataParallelTrainer(Trainer):
             )
         if self._started:
             return
-        world = self.world = self._resolve_world()
-        params = self.optimizer.parameters
-        bn_mods = _bn_modules(self.model)
-        shards = self.config.grad_shards
-        total = shards * _shard_nbytes(params, bn_mods)
+        world = self._resolve_world()
+        total = self.config.grad_shards * _shard_nbytes(
+            self.optimizer.parameters, _bn_modules(self.model)
+        )
         if world == 1:
             self._local_buf = bytearray(total)
-            buf = memoryview(self._local_buf)
-            workers = ()
-        else:
-            from repro.workers import WorkerGroup
+            self._join(0, 1, memoryview(self._local_buf))
+            return
+        from repro.workers import WorkerGroup
 
-            group = WorkerGroup(self.start_method)
-            try:
-                shm = group.segment(total)
-                buf = shm.buf
-                group.share_datasets([self.experiment])
-                profile = bool(self.telemetry.enabled and self.telemetry.profile)
-                for rank in range(1, world):
-                    group.start(
-                        _rank_main, rank, world, self.experiment, shm.name,
-                        profile, source=f"dp-rank{rank}", name=f"repro-dp-{rank}",
-                    )
-            except BaseException:
-                group.close()
-                raise
-            self._group = group
-            workers = tuple(group.workers)
-            # Rank 0 runs one BLAS thread while the ranks live, like every
-            # worker rank: the parallelism comes from the ranks, and a
-            # BLAS pool in each would oversubscribe the cores.
-            # ``shutdown`` gives the caller its count back.
-            self._thread_limit = set_blas_threads(1)
-        slots = _carve_slots(buf, params, bn_mods, shards)
-        self._comm = _ShardComm(
-            0, world, shards, slots, bn_mods, _find_engine(self.model),
-            self.telemetry, workers=workers,
-        )
+        group = WorkerGroup(self.start_method)
+        try:
+            shm = group.segment(total)
+            group.share_datasets([self.experiment])
+            profile = bool(self.telemetry.enabled and self.telemetry.profile)
+            for rank in range(1, world):
+                group.start(
+                    _rank_main, rank, world, self.experiment, shm.name,
+                    profile, source=f"dp-rank{rank}", name=f"repro-dp-{rank}",
+                )
+        except BaseException:
+            group.close()
+            raise
+        self._group = group
+        # Rank 0 runs one BLAS thread while the ranks live, like every
+        # worker rank: the parallelism comes from the ranks, and a BLAS
+        # pool in each would oversubscribe the cores.  ``shutdown`` gives
+        # the caller its count back.
+        self._thread_limit = set_blas_threads(1)
+        self._join(0, world, shm.buf, workers=tuple(group.workers))
+
+    def _join(self, rank, world, buf, conn=None, workers=()) -> None:
+        """Take rank ``rank`` of ``world`` over the exchange buffer
+        ``buf``: rank 0 holds the other ranks' ``workers``, a worker rank
+        ``conn``, its end of the pipe to rank 0."""
+        params = self.optimizer.parameters
+        bn_mods = _bn_modules(self.model)
+        slots = _carve_slots(buf, params, bn_mods, self.config.grad_shards)
+        self._comm = _ShardComm(rank, world, slots, bn_mods,
+                                _find_engine(self.model), conn, workers)
+        self.world = world
         self._started = True
 
     @contextlib.contextmanager
@@ -543,10 +396,124 @@ class DataParallelTrainer(Trainer):
 
     # ------------------------------------------------------------------ #
     def train_epoch(self, epoch: int) -> float:
+        """One epoch of the shared batch loop: starts the ranks on the
+        first call and sends them the epoch, and routes every shard's
+        batch-norm statistics to :meth:`_run_shard` meanwhile.  It runs
+        the loop itself rather than through ``super().train_epoch``, so
+        one epoch is one ``train_epoch`` call (perfbench times both
+        methods under one span name)."""
         self._ensure_started()
         with self._kill_ranks_on_failure():
             self._send(("epoch", epoch))
-            return _run_sharded_epoch(self, self._comm, epoch)
+            stats = self._batch_stats
+
+            def stats_sink(module, mean, var):
+                stats[id(module)] = (mean, var)
+
+            bn_mods = self._comm.bn_mods
+            for m in bn_mods:
+                m.stats_sink = stats_sink
+            try:
+                return self._run_epoch(epoch)
+            finally:
+                for m in bn_mods:
+                    m.stats_sink = None
+
+    def batch_gradients(self, idx: np.ndarray) -> float:
+        """The batch gradient as the all-reduce of every shard's: this
+        rank computes only the shards it owns, and every rank then folds
+        all shards' published gradients in ascending shard order and
+        replays their batch-norm statistics, so every rank holds the same
+        gradient, running statistics and returned loss, the
+        shard-size-weighted mean of the shard losses."""
+        comm = self._comm
+        params = self.optimizer.parameters
+        tel = self.telemetry
+        profiling = tel.enabled and tel.profile
+        nb = len(idx)
+        bounds = _shard_bounds(nb, self.config.grad_shards)
+        first = 0
+        if (
+            comm.world > 1
+            and comm.engine is not None
+            and comm.engine.grad_scales_stale()
+        ):
+            # The gradient ADC ranges calibrate lazily from the first
+            # gradient each (re)written block sees; the canonical first
+            # gradient is shard 0's.  Rank 0 runs shard 0 alone and
+            # releases the calibrated scales; peers adopt them before
+            # clamping their own shards.  Staleness is replica-identical
+            # (remaps replay on every rank), so all ranks take this
+            # branch together.
+            if comm.rank == 0:
+                lo, hi = bounds[0]
+                self._run_shard(comm.slots[0], lo, hi, idx, nb)
+                first = 1
+                comm.exchange(comm.engine.export_grad_scales())
+            else:
+                comm.engine.import_grad_scales(comm.exchange())
+        for s in range(first, len(bounds)):
+            lo, hi = bounds[s]
+            if hi <= lo or s % comm.world != comm.rank:
+                continue
+            self._run_shard(comm.slots[s], lo, hi, idx, nb)
+        comm.exchange()
+        # All-reduce: every rank folds every shard's published results in
+        # ascending shard order — identical float operations, hence
+        # identical replicas, on all ranks.
+        t_red = time.perf_counter() if profiling else 0.0
+        live = [s for s, (lo, hi) in enumerate(bounds) if hi > lo]
+        for p, view in zip(params, comm.slots[live[0]].grads):
+            np.copyto(p.grad, view)
+        for s in live[1:]:
+            for p, view in zip(params, comm.slots[s].grads):
+                p.grad += view
+        for s in live:
+            for m, (mv, vv) in zip(comm.bn_mods, comm.slots[s].stats):
+                m.running_mean += m.momentum * (mv - m.running_mean)
+                m.running_var += m.momentum * (vv - m.running_var)
+        batch_loss = 0.0
+        for s, (lo, hi) in enumerate(bounds):
+            if hi > lo:
+                batch_loss += float(comm.slots[s].loss[0]) * (hi - lo)
+        batch_loss /= nb
+        if profiling:
+            tel.observe("train.allreduce_seconds", time.perf_counter() - t_red)
+        # The optimiser step touches only rank-local state, so it runs
+        # after this exchange releases the shard slots.
+        comm.exchange()
+        return batch_loss
+
+    def _run_shard(self, slot: _Slot, lo: int, hi: int, idx: np.ndarray,
+                   nb: int) -> None:
+        """Forward, loss and backward of rows ``lo:hi`` of the batch
+        ``idx``, published into ``slot``.
+
+        It takes its slot as an argument and reaches the exchange only
+        through ``self``, never a closure: a failed shard's frame, kept by
+        the traceback, then holds no view into the slots once
+        :meth:`_kill_ranks_on_failure` clears its locals (a closure cell
+        would outlive that).
+        """
+        rows = idx[lo:hi]
+        xb = Tensor(self.dataset.x_train[rows], requires_grad=True)
+        xb.skip_grad = True
+        self._batch_stats.clear()
+        logits = self.model(xb)
+        loss = F.softmax_cross_entropy(logits, self.dataset.y_train[rows])
+        self.optimizer.zero_grad()
+        # Seeding with the shard's batch fraction makes the reduced
+        # gradient the exact gradient of the shard-size-weighted batch
+        # loss.
+        loss.backward(float(hi - lo) / nb)
+        for p, view in zip(self.optimizer.parameters, slot.grads):
+            np.copyto(view, p.grad)
+        for m, (mv, vv) in zip(self._comm.bn_mods, slot.stats):
+            mean, var = self._batch_stats[id(m)]
+            np.copyto(mv, mean)
+            np.copyto(vv, var)
+        slot.loss[0] = float(loss.data)
+        step_arena().reset()
 
     def broadcast_epoch_end(self, epoch: int) -> None:
         """Replay the controller's epoch-end transition on every worker.
@@ -576,9 +543,9 @@ class DataParallelTrainer(Trainer):
         with self._kill_ranks_on_failure():
             for worker in peers:
                 worker.send(("eval",))
-            correct = _eval_share(self, 0, world)
+            correct = self.correct_share(0, world)
             for worker in peers:
-                correct += worker.recv(_BARRIER_TIMEOUT)
+                correct += worker.recv(_EXCHANGE_TIMEOUT)
         return correct
 
     def _send(self, command) -> None:
@@ -589,20 +556,19 @@ class DataParallelTrainer(Trainer):
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
         """Stop the workers, fold their telemetry in, release memory."""
+        # Drop every view into the exchange buffer before releasing it.
+        self._comm = None
+        self._local_buf = None
         if self._group is not None:
             snapshots = self._group.stop()
             for rank, snapshot in enumerate(snapshots, start=1):
                 if snapshot is not None:
                     self.telemetry.merge(snapshot, tag=f"dp-rank{rank}")
-            # Drop every view into the exchange buffer before releasing it.
-            self._comm = None
             self._group.close()
             self._group = None
         if self._thread_limit is not None:
             set_blas_threads(self._thread_limit)
             self._thread_limit = None
-        self._comm = None
-        self._local_buf = None
         self._started = False
         self._finished = True
 

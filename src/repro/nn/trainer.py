@@ -4,6 +4,11 @@ The hook is where the fault-tolerant-training controller plugs in: after
 every epoch it injects post-deployment faults, runs BIST and performs the
 policy's remapping — mirroring the paper's "remap at the end of each
 epoch, before the weights are updated for the next" schedule.
+
+The batch loop here is every trainer's and every rank's: the
+data-parallel trainer (:mod:`repro.nn.parallel`) overrides only
+:meth:`Trainer.batch_gradients`, and each of its worker ranks runs this
+same loop on its own replica.
 """
 
 from __future__ import annotations
@@ -53,9 +58,6 @@ class Trainer:
         self.config = config
         self.rng = rng or np.random.default_rng(config.seed)
         self.telemetry = telemetry if telemetry is not None else null_telemetry()
-        #: optional ``() -> None`` called after every optimiser step;
-        #: None calls nothing.
-        self.post_step = None
         #: optional ``() -> dict`` of extra per-epoch metrics, merged into
         #: each history record and ``epoch_done`` event after the epoch's
         #: controller hook ran (the fleet controller reports cumulative
@@ -71,13 +73,18 @@ class Trainer:
     # ------------------------------------------------------------------ #
     def train_epoch(self, epoch: int) -> float:
         """One pass over the training set; returns the mean loss."""
+        return self._run_epoch(epoch)
+
+    def _run_epoch(self, epoch: int) -> float:
+        """The batch loop: per batch, :meth:`batch_gradients`, one
+        optimiser step and an arena rewind."""
         cfg = self.config
         self.model.train()
         self.optimizer.lr = cosine_lr(
             cfg.lr, epoch, cfg.epochs, cfg.lr_final_fraction
         )
-        x, y = self.dataset.x_train, self.dataset.y_train
-        order = self.rng.permutation(len(y))
+        n = len(self.dataset.y_train)
+        order = self.rng.permutation(n)
         tel = self.telemetry
         # Per-step timing is profiling-only: one perf_counter pair plus a
         # histogram observe per *batch* is cheap, but the hot-loop
@@ -86,32 +93,34 @@ class Trainer:
         # The epoch loss weights every per-batch loss by its batch size,
         # so the trailing partial batch does not bias the mean.
         total_loss = 0.0
-        total_n = 0
         arena = step_arena()
         with step_scope():
-            for start in range(0, len(y), cfg.batch_size):
+            for start in range(0, n, cfg.batch_size):
                 t_step = time.perf_counter() if profiling else 0.0
                 idx = order[start : start + cfg.batch_size]
-                xb = Tensor(x[idx], requires_grad=True)
-                # Nothing consumes the batch input's gradient; skip the
-                # first conv's col2im fold entirely.
-                xb.skip_grad = True
-                logits = self.model(xb)
-                loss = F.softmax_cross_entropy(logits, y[idx])
-                self.optimizer.zero_grad()
-                loss.backward()
+                loss = self.batch_gradients(idx)
                 self.optimizer.step()
-                if self.post_step is not None:
-                    self.post_step()
                 # Backward is complete and the weights are stepped: every
                 # arena temporary is dead; rewind for reuse.
                 arena.reset()
-                nb = len(idx)
-                total_loss += float(loss.data) * nb
-                total_n += nb
+                total_loss += loss * len(idx)
                 if profiling:
                     tel.observe("train.step_seconds", time.perf_counter() - t_step)
-        return total_loss / total_n
+        return total_loss / n
+
+    def batch_gradients(self, idx: np.ndarray) -> float:
+        """Leave the gradient of training batch ``idx`` (rows of the
+        epoch's shuffled order) in every parameter's ``grad``; returns the
+        batch loss.  One forward and backward over the whole batch."""
+        xb = Tensor(self.dataset.x_train[idx], requires_grad=True)
+        # Nothing consumes the batch input's gradient; skip the first
+        # conv's col2im fold entirely.
+        xb.skip_grad = True
+        logits = self.model(xb)
+        loss = F.softmax_cross_entropy(logits, self.dataset.y_train[idx])
+        self.optimizer.zero_grad()
+        loss.backward()
+        return float(loss.data)
 
     def eval_batch_size(self) -> int:
         """Resolved inference batch: ``TrainConfig.eval_batch`` or auto."""
@@ -175,7 +184,19 @@ class Trainer:
     def test_correct(self) -> int:
         """Correct top-1 predictions on the test split (the data-parallel
         trainer splits this count over its ranks)."""
-        return self.count_correct(self.dataset.x_test, self.dataset.y_test)
+        return self.correct_share(0, 1)
+
+    def correct_share(self, rank: int, world: int) -> int:
+        """Correct predictions on the test-split batches rank ``rank`` of
+        ``world`` owns: batch ``k``, at :meth:`eval_batch_size`, is rank
+        ``k % world``'s.  Each batch is one forward of its own, so the
+        shares of any ``world`` add up to the whole split's count."""
+        x, y = self.dataset.x_test, self.dataset.y_test
+        b = self.eval_batch_size()
+        return sum(
+            self.count_correct(x[lo : lo + b], y[lo : lo + b])
+            for lo in range(rank * b, len(y), world * b)
+        )
 
     def count_correct(self, x: np.ndarray, y: np.ndarray) -> int:
         """Correct top-1 predictions of :meth:`predict` on ``x``."""

@@ -289,49 +289,16 @@ class ProcessReplica:
     The worker stays cache-hot across requests: the experiment stack
     (and with it the effective-weight cache) lives for the process's
     whole life, and the only per-request cost in the parent is one
-    ``np.copyto`` into the segment plus a pipe round-trip.
+    ``np.copyto`` into the segment plus a pipe round-trip.  Replicas are
+    started with :meth:`start_all`.
     """
 
     def __init__(self, config: ExperimentConfig, max_batch: int,
-                 replica_id: int = 0, start_method: str | None = None):
-        group = WorkerGroup(start_method)
-        group.share_datasets([config])
-        self._start(config, max_batch, replica_id, group)
-        try:
-            self._call()  # the worker's "ready"
-        except BaseException:
-            self._discard()
-            raise
-
-    @classmethod
-    def start_all(cls, config: ExperimentConfig, max_batch: int, count: int,
-                  start_method: str | None = None) -> list["ProcessReplica"]:
-        """Replicas ``0 .. count - 1``, every worker started before any
-        "ready" is awaited, so their builds run side by side, in one
-        group that exports the dataset once for all of them.  When one
-        fails to start, every replica already started is killed and the
-        group's segments released before the error propagates."""
-        group = WorkerGroup(start_method)
-        group.share_datasets([config])
-        replicas: list[ProcessReplica] = []
-        try:
-            for rid in range(count):
-                replica = cls.__new__(cls)
-                replica._start(config, max_batch, rid, group)
-                replicas.append(replica)
-            for replica in replicas:
-                replica._call()  # the worker's "ready"
-        except BaseException:
-            for replica in replicas:
-                replica._discard()
-            raise
-        return replicas
-
-    def _start(self, config: ExperimentConfig, max_batch: int,
-               replica_id: int, group: WorkerGroup) -> None:
+                 replica_id: int, group: WorkerGroup):
         """Size the transport segment in ``group`` and start the worker
-        there; a failure kills the worker and, once no worker of the
-        group is left, releases the group's segments."""
+        there (:meth:`start_all` awaits its "ready"); a failure kills the
+        worker and, once no worker of the group is left, releases the
+        group's segments."""
         from repro.nn.data import cached_dataset
 
         self.replica_id = replica_id
@@ -363,6 +330,28 @@ class ProcessReplica:
         except BaseException:
             self._discard()
             raise
+
+    @classmethod
+    def start_all(cls, config: ExperimentConfig, max_batch: int, count: int,
+                  start_method: str | None = None) -> list["ProcessReplica"]:
+        """Replicas ``0 .. count - 1``, every worker started before any
+        "ready" is awaited, so their builds run side by side, in one
+        group that exports the dataset once for all of them.  When one
+        fails to start, every replica already started is killed and the
+        group's segments released before the error propagates."""
+        group = WorkerGroup(start_method)
+        group.share_datasets([config])
+        replicas: list[ProcessReplica] = []
+        try:
+            for rid in range(count):
+                replicas.append(cls(config, max_batch, rid, group))
+            for replica in replicas:
+                replica._call()  # the worker's "ready"
+        except BaseException:
+            for replica in replicas:
+                replica._discard()
+            raise
+        return replicas
 
     def _discard(self) -> None:
         """Kill the worker; the last replica of the group to go releases

@@ -66,7 +66,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 
 from repro.telemetry import Telemetry, _json_default
-from repro.telemetry.metrics import Histogram
 
 __all__ = [
     "STREAM_ENV",
@@ -400,48 +399,32 @@ class LiveAggregator:
         """
         with self._lock:
             self._drain_base_events()
-            counters: dict[str, int] = {}
-            spans: dict[str, dict[str, float]] = {}
-            hists: dict[str, Histogram] = {}
-
-            def fold(cs: dict, sp: dict, hs: dict) -> None:
-                for name, n in cs.items():
-                    counters[name] = counters.get(name, 0) + int(n)
-                for name, agg in sp.items():
-                    mine = spans.get(name)
-                    if mine is None:
-                        spans[name] = dict(agg)
-                    else:
-                        mine["count"] += agg["count"]
-                        mine["seconds"] += agg["seconds"]
-                        if agg.get("min", mine["min"]) < mine["min"]:
-                            mine["min"] = agg["min"]
-                        if agg.get("max", mine["max"]) > mine["max"]:
-                            mine["max"] = agg["max"]
-                for name, snap in hs.items():
-                    mine_h = hists.get(name)
-                    if mine_h is None:
-                        hists[name] = Histogram.from_snapshot(snap)
-                    else:
-                        try:
-                            mine_h.merge(snap)
-                        except ValueError:
-                            pass  # layout mismatch: keep the first source
-
+            frames = list(self._sources.values())
             base = self.base
             if base is not None:
-                fold(
-                    dict(base.counters),
-                    {k: dict(v) for k, v in base.spans.items()},
-                    {k: h.snapshot() for k, h in base.histograms.items()},
-                )
-            for src in self._sources.values():
-                fold(src["counters"], src["spans"], src["histograms"])
+                frames.insert(0, {
+                    "counters": dict(base.counters),
+                    "spans": {k: dict(v) for k, v in base.spans.items()},
+                    "histograms": {
+                        k: h.snapshot() for k, h in base.histograms.items()
+                    },
+                })
+            merged = Telemetry(echo=False)
+            for frame in frames:
+                merged.merge({"counters": frame["counters"],
+                              "spans": frame["spans"]})
+                for name, snap in frame["histograms"].items():
+                    try:
+                        merged.merge({"histograms": {name: snap}})
+                    except ValueError:
+                        pass  # layout mismatch: keep the first source's
             return {
                 "ts": time.time(),
-                "counters": counters,
-                "spans": spans,
-                "histograms": {k: h.summary() for k, h in hists.items()},
+                "counters": merged.counters,
+                "spans": merged.spans,
+                "histograms": {
+                    k: h.summary() for k, h in merged.histograms.items()
+                },
                 "gauges": dict(self._gauges),
                 "sources": {
                     name: {

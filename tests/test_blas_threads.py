@@ -70,11 +70,19 @@ def _config(data_parallel: int = 0) -> ExperimentConfig:
 
 
 def _dp_epoch(on_step=None) -> float:
-    """One epoch of a fork-started 2-rank run, shut down before returning."""
+    """One epoch of a fork-started 2-rank run, shut down before returning;
+    ``on_step`` runs after each of rank 0's optimiser steps."""
     trainer = build_experiment(_config(data_parallel=2)).trainer
     assert isinstance(trainer, DataParallelTrainer)
     trainer.start_method = "fork"
-    trainer.post_step = on_step
+    if on_step is not None:
+        real_step = trainer.optimizer.step
+
+        def step():
+            real_step()
+            on_step()
+
+        trainer.optimizer.step = step
     try:
         loss = trainer.train_epoch(0)
         assert trainer.world == 2
@@ -142,7 +150,8 @@ class TestWorkersRunOneThread:
 def test_replica_and_dp_run_leave_the_caller_untouched():
     env_before = dict(os.environ)
     threads_before = blas_threads()
-    replica = ProcessReplica(_config(), max_batch=4, start_method="fork")
+    (replica,) = ProcessReplica.start_all(_config(), max_batch=4, count=1,
+                                          start_method="fork")
     replica.close()
     _dp_epoch()
     assert dict(os.environ) == env_before

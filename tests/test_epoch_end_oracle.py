@@ -326,7 +326,7 @@ def oracle_plan(protocol, tasks, pair_density, idle_pairs=None, epoch=-1):
             if id(r) in used:
                 continue
             r_density = float(pair_density[r.pair_id])
-            if protocol.require_lower_density and r_density >= s_density:
+            if r_density >= s_density:
                 continue
             if (protocol.phase_priority
                     and r.tolerance_rank <= sender.tolerance_rank):
@@ -420,14 +420,13 @@ class TestVectorisedPlanner:
     @given(
         rule=st.sampled_from(RECEIVER_RULES),
         phase_priority=st.booleans(),
-        require_lower=st.booleans(),
         offset=st.sampled_from([0, 40]),
         threshold=st.sampled_from([0.0, 0.002, 0.01]),
         data=st.data(),
         seed=st.integers(0, 1000),
     )
     def test_plans_match_oracle(
-        self, rule, phase_priority, require_lower, offset, threshold, data, seed
+        self, rule, phase_priority, offset, threshold, data, seed
     ):
         chip, tasks = _planning_chip(offset)
         levels = st.sampled_from([0.0, 0.001, 0.002, 0.004, 0.01, 0.05])
@@ -439,8 +438,7 @@ class TestVectorisedPlanner:
         protocols = [
             RemapProtocol(
                 chip, threshold=threshold, phase_priority=phase_priority,
-                require_lower_density=require_lower, receiver_rule=rule,
-                rng=np.random.default_rng(seed),
+                receiver_rule=rule, rng=np.random.default_rng(seed),
             )
             for _ in range(2)
         ]

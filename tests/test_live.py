@@ -11,6 +11,7 @@ import pytest
 
 from repro.runner import ExperimentCell, run_experiments
 from repro.telemetry import Telemetry
+from repro.telemetry.metrics import Histogram
 from repro.telemetry.live import (
     FLIGHT_ENV,
     STREAM_ENV,
@@ -153,6 +154,24 @@ class TestStreamingBus:
             roll = agg.rollup()
             assert [e["kind"] for e in roll["recent_events"]].count(
                 "cell_retried") == 1
+            # A source histogram with another bucket layout than the
+            # base's is skipped; the roll-up still answers with the
+            # source's other metrics.
+            base.observe("serve.latency_seconds", 0.1)
+            odd = Histogram(1e-3, 10.0, 4)
+            odd.observe(1.0)
+            agg._fold({
+                "source": "w", "counters": {"runner.cell_retries": 1},
+                "spans": {}, "histograms": {
+                    "serve.latency_seconds": odd.snapshot(),
+                    "runner.cell_seconds": odd.snapshot(),
+                },
+            })
+            roll = agg.rollup()
+            assert roll["counters"]["runner.cell_retries"] == 3
+            assert roll["histograms"]["serve.latency_seconds"]["count"] == 1
+            assert roll["histograms"]["runner.cell_seconds"]["count"] == 1
+            assert "repro_runner_cell_seconds_count 1" in prometheus_text(roll)
         finally:
             agg.close()
 

@@ -141,23 +141,7 @@ class TestWorldResolution:
         with pytest.raises(ValueError):
             TrainConfig(data_parallel=-1)
 
-    def test_fallback_without_experiment_config(self):
-        ctx = build_experiment(_config(0, epochs=1))
-        tel = Telemetry(echo=False)
-        trainer = DataParallelTrainer(
-            ctx.model, ctx.dataset, ctx.config.train, ctx.rng_hub.stream("train"),
-            telemetry=tel, experiment=None, world=2,
-        )
-        try:
-            loss = trainer.train_epoch(0)
-        finally:
-            trainer.shutdown()
-        assert np.isfinite(loss)
-        assert trainer.world == 1
-        assert any(
-            e["payload"]["reason"] == "no experiment config"
-            for e in tel.filter("dp_fallback")
-        )
+    def test_read_noise_falls_back_to_one_rank(self):
         # Read noise is redrawn per read, so ranks could not stay in
         # lockstep: two requested ranks train on one.  Drift is
         # deterministic per epoch and keeps both.
@@ -189,6 +173,13 @@ class TestWorldResolution:
         trainer.shutdown()
         with pytest.raises(RuntimeError):
             trainer.train_epoch(1)
+        # The one eval rule, which every rank and a lone trainer score
+        # by: over any world the shares of the eval batches (12, 12 and
+        # 8 images) add up to the whole test split's count.
+        whole = trainer.count_correct(ctx.dataset.x_test, ctx.dataset.y_test)
+        for world in range(1, 5):
+            shares = [trainer.correct_share(r, world) for r in range(world)]
+            assert sum(shares) == whole, (world, shares)
 
     def test_shutdown_idempotent(self):
         ctx = build_experiment(_config(1, epochs=1))

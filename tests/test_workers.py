@@ -35,8 +35,8 @@ from multiprocessing import shared_memory
 import pytest
 
 from repro.core.controller import build_experiment
-from repro.nn import parallel
 from repro.nn.parallel import DataParallelTrainer
+from repro.nn.trainer import Trainer
 from repro.serve import InferenceServer, ServeConfig
 from repro.serve import replica as serve_replica
 from repro.serve.replica import ProcessReplica, ReplicaDied
@@ -322,8 +322,8 @@ def _killed_sweep_leaves_nothing_behind(method):
 
 def _replica_build_failure_releases_everything(method):
     with pytest.raises(ReplicaDied):
-        ProcessReplica(_config(policy="no-such-policy"), max_batch=4,
-                       start_method=method)
+        ProcessReplica.start_all(_config(policy="no-such-policy"), max_batch=4,
+                                 count=1, start_method=method)
     # The check after every case runs right away: no child, no segment.
 
 
@@ -523,7 +523,7 @@ def _killed_rank_breaks_the_evaluation():
         eval_batch=4, data_parallel=3, grad_shards=3,
     ))).trainer
     assert isinstance(trainer, DataParallelTrainer)
-    real_share = parallel._eval_share
+    real_share = Trainer.correct_share
 
     def share(replica, rank, world):
         if rank == 1:
@@ -537,7 +537,7 @@ def _killed_rank_breaks_the_evaluation():
 
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(parallel, "_eval_share", share)
+            patch.setattr(Trainer, "correct_share", share)
             trainer.train_epoch(0)
             t0 = time.monotonic()
             with pytest.raises(WorkerDied, match="exited with code -9"):
