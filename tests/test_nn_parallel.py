@@ -141,7 +141,7 @@ class TestWorldResolution:
         with pytest.raises(ValueError):
             TrainConfig(data_parallel=-1)
 
-    def test_read_noise_falls_back_to_one_rank(self):
+    def test_only_read_noise_falls_back_to_one_rank(self):
         # Read noise is redrawn per read, so ranks could not stay in
         # lockstep: two requested ranks train on one.  Drift is
         # deterministic per epoch and keeps both.
